@@ -12,8 +12,8 @@ from .dynamics import (FixedPoint, OscillatorParams, Regime,
                        net_gain, step_map)
 from .exceptions import (ConfigurationError, DataFormatError, DelayRCError,
                          NumericsError, SingularMatrixError)
-from .hyperopt import (SearchSpace, Study, Trial, load_study, random_search,
-                       resonance_sweep, run_study, save_study, tpe_suggest)
+from .hyperopt import (SearchSpace, Study, Trial, load_study, resonance_sweep,
+                       run_study, save_study, tpe_suggest)
 from .pipeline import evaluate_series, make_eval
 from .readout import (ReadoutWeights, classify_sequences, nmse, nrmse,
                       predict, train_ridge)

@@ -43,32 +43,39 @@ def _floats(raw: str) -> tuple:
     return tuple(float(v) for v in raw.split(","))
 
 
+_SINE = pipeline.TASK_DEFAULTS["sine_square"]
+_TEMPLATE = pipeline.TEMPLATE_DEFAULTS
+# the map fields that come straight from dynamics.* keys
+_OSC_FIELDS = ("G", "M", "x_b", "V_pi", "P_max", "G_star", "T_R", "tau")
+# search dimension -> the key holding its value in a run config
+_PARAM_KEYS = {"rho": "reservoir.rho", "G": "reservoir.G",
+               "Phi0": "reservoir.Phi0", "tau_over_T": "reservoir.tau_over_T",
+               "lam": "readout.lam"}
+
 # key -> (coercer, default). None default means "only meaningful if set".
 _SCHEMA = {
     "command": (str, None),
     "out": (str, None),
-    "seed.mask": (int, 0),
-    "seed.data": (int, 0),
-    "seed.sampler": (int, 0),
+    **{f"seed.{name}": (int, v) for name, v in pipeline.SEED_DEFAULTS.items()},
     "task": (str, "sine_square"),
-    "task.n_waveforms": (int, 20),
-    "task.spp_lo": (int, 3),
-    "task.spp_hi": (int, 5),
-    "task.periods": (int, 128),
-    "task.length": (int, 8000),
-    "task.fraction": (float, 0.5),
+    "task.n_waveforms": (int, _SINE["n_waveforms"]),
+    "task.spp_lo": (int, _SINE["samples_per_period"][0]),
+    "task.spp_hi": (int, _SINE["samples_per_period"][1]),
+    "task.periods": (int, _SINE["periods_per_waveform"]),
+    "task.length": (int, pipeline.TASK_DEFAULTS["narma10"]["length"]),
+    "task.fraction": (float, _SINE["fraction"]),
     "task.washout": (int, None),
     "task.path": (str, None),
-    "task.n_per_class": (int, 40),
-    "reservoir.k": (int, 50),
-    "reservoir.beta": (float, 1.0),
-    "reservoir.M": (float, 0.983),
+    "task.n_per_class": (int, pipeline.TASK_DEFAULTS["vowels"]["n_per_class"]),
+    "reservoir.k": (int, _TEMPLATE["k"]),
+    "reservoir.beta": (float, _TEMPLATE["beta"]),
+    "reservoir.M": (float, _TEMPLATE["M"]),
     "reservoir.rho": (float, 0.19),
     "reservoir.G": (float, 0.39),
     "reservoir.Phi0": (float, 0.67 * np.pi),
     "reservoir.tau_over_T": (float, 0.27),
     "readout.lam": (float, 1.4e-3),
-    "readout.bias": (_bool, False),
+    "readout.bias": (_bool, _TEMPLATE["add_bias"]),
     "optimize.budget": (int, 300),
     "optimize.sampler": (str, "tpe"),
     "optimize.n_startup": (int, 20),
@@ -76,21 +83,14 @@ _SCHEMA = {
     "optimize.n_candidates": (int, 24),
     "optimize.width": (int, 1),
     "optimize.record_timings": (_bool, False),
-    "space.rho": (_floats, (0.0, 1.0)),
-    "space.G": (_floats, (0.0, 1.2)),
-    "space.Phi0": (_floats, (0.0, float(np.pi))),
-    "space.tau_over_T": (_floats, (0.0, 5.0)),
-    "space.lam": (_floats, (1e-8, 1.0)),
+    **{f"space.{name}": (_floats, getattr(hyperopt.SearchSpace, name))
+       for name in _PARAM_KEYS},
     "sweep.grid": (_floats, None),
     "sweep.repeats": (int, 5),
     "dynamics.G": (float, 0.56),
-    "dynamics.M": (float, 0.983),
-    "dynamics.x_b": (float, 0.0),
-    "dynamics.V_pi": (float, 1.0),
-    "dynamics.P_max": (float, 0.0),
-    "dynamics.G_star": (float, 0.0),
-    "dynamics.T_R": (float, 0.0),
-    "dynamics.tau": (float, 1.0),
+    # the other map fields default as OscillatorParams does
+    **{f"dynamics.{f}": (float, getattr(dynamics.OscillatorParams, f))
+       for f in _OSC_FIELDS[1:]},
     "dynamics.x0": (float, 0.1),
     "dynamics.n": (int, 100),
     "dynamics.N_max": (int, 8),
@@ -102,8 +102,6 @@ _SCHEMA = {
     "dde.dt": (float, 0.01),
     "dde.history_value": (float, 0.0),
 }
-
-_TASK_WASHOUT = {"sine_square": 10, "narma10": 100, "vowels": 12}
 
 
 def _coerce(key: str, raw):
@@ -169,12 +167,17 @@ def _fmt_value(v) -> str:
     return fmt(v)
 
 
-def _echo_config(cfg: dict):
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    lines = [f"{k}={_fmt_value(cfg[k])}" for k in sorted(cfg)]
-    with open(os.path.join(out, "effective.cfg"), "w", newline="\n") as fh:
+def _write_cfg(cfg: dict, path, skip=()):
+    """Flat key=value file, sorted by key, omitting keys starting with skip."""
+    lines = [f"{k}={_fmt_value(cfg[k])}" for k in sorted(cfg)
+             if not k.startswith(skip)]
+    with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _echo_config(cfg: dict):
+    os.makedirs(cfg["out"], exist_ok=True)
+    _write_cfg(cfg, os.path.join(cfg["out"], "effective.cfg"))
 
 
 def _comment(cfg, *seed_keys) -> str:
@@ -183,17 +186,18 @@ def _comment(cfg, *seed_keys) -> str:
 
 
 def _params(cfg) -> dict:
-    return {"rho": cfg["reservoir.rho"], "G": cfg["reservoir.G"],
-            "Phi0": cfg["reservoir.Phi0"],
-            "tau_over_T": cfg["reservoir.tau_over_T"],
-            "lam": cfg["readout.lam"]}
+    return {name: cfg[key] for name, key in _PARAM_KEYS.items()}
+
+
+def _seeds(cfg) -> dict:
+    return {name: cfg[f"seed.{name}"] for name in pipeline.SEED_DEFAULTS}
 
 
 def _task_options(cfg) -> dict:
     task = cfg["task"]
     washout = cfg.get("task.washout")
     if washout is None:
-        washout = _TASK_WASHOUT[task] if task in _TASK_WASHOUT else 0
+        washout = pipeline.TASK_DEFAULTS[task]["washout"]
     if task == "sine_square":
         return {"n_waveforms": cfg["task.n_waveforms"],
                 "samples_per_period": (cfg["task.spp_lo"], cfg["task.spp_hi"]),
@@ -202,12 +206,8 @@ def _task_options(cfg) -> dict:
     if task == "narma10":
         return {"length": cfg["task.length"], "fraction": cfg["task.fraction"],
                 "washout": washout}
-    if task == "vowels":
-        return {"path": cfg.get("task.path"),
-                "n_per_class": cfg["task.n_per_class"],
-                "synthetic_seed": cfg["seed.data"], "washout": washout}
-    raise ConfigurationError(
-        f"unknown task {cfg['task']!r}, expected one of {pipeline.TASK_IDS}")
+    return {"path": cfg.get("task.path"), "n_per_class": cfg["task.n_per_class"],
+            "synthetic_seed": cfg["seed.data"], "washout": washout}
 
 
 def _template(cfg) -> dict:
@@ -222,18 +222,14 @@ def _space(cfg) -> hyperopt.SearchSpace:
             raise ConfigurationError(f"{key} must be a lo,hi pair, got {v}")
         return (float(v[0]), float(v[1]))
     return hyperopt.SearchSpace(
-        rho=pair("space.rho"), G=pair("space.G"), Phi0=pair("space.Phi0"),
-        tau_over_T=pair("space.tau_over_T"), lam=pair("space.lam"))
+        **{name: pair(f"space.{name}") for name in _PARAM_KEYS})
 
 
 # ---------------------------------------------------------------- commands
 
 def _oscillator(cfg) -> dynamics.OscillatorParams:
     return dynamics.OscillatorParams(
-        G=cfg["dynamics.G"], M=cfg["dynamics.M"], x_b=cfg["dynamics.x_b"],
-        V_pi=cfg["dynamics.V_pi"], P_max=cfg["dynamics.P_max"],
-        G_star=cfg["dynamics.G_star"], T_R=cfg["dynamics.T_R"],
-        tau=cfg["dynamics.tau"])
+        **{f: cfg[f"dynamics.{f}"] for f in _OSC_FIELDS})
 
 
 def cmd_dynamics(sub: str, cfg: dict) -> int:
@@ -267,10 +263,8 @@ def cmd_dynamics(sub: str, cfg: dict) -> int:
 
 
 def cmd_run(cfg: dict) -> int:
-    eval_fn = pipeline.make_eval(
-        cfg["task"], k=cfg["reservoir.k"], mask_seed=cfg["seed.mask"],
-        beta=cfg["reservoir.beta"], M=cfg["reservoir.M"],
-        add_bias=cfg["readout.bias"], options=_task_options(cfg))
+    eval_fn = pipeline.make_eval(cfg["task"], _template(cfg), cfg["seed.mask"],
+                                 _task_options(cfg))
     res = eval_fn(_params(cfg), cfg["seed.data"])
     out = cfg["out"]
     note = _comment(cfg, "seed.mask", "seed.data")
@@ -308,9 +302,7 @@ def cmd_optimize(cfg: dict) -> int:
     out = cfg["out"]
     study = hyperopt.run_study(
         cfg["task"], template=_template(cfg), space=_space(cfg),
-        budget=cfg["optimize.budget"],
-        seeds={"sampler": cfg["seed.sampler"], "data": cfg["seed.data"],
-               "mask": cfg["seed.mask"]},
+        budget=cfg["optimize.budget"], seeds=_seeds(cfg),
         path=os.path.join(out, "study.jsonl"),
         width=cfg["optimize.width"], sampler=cfg["optimize.sampler"],
         n_startup=cfg["optimize.n_startup"], gamma=cfg["optimize.gamma"],
@@ -321,17 +313,10 @@ def cmd_optimize(cfg: dict) -> int:
     if best is None:
         print("no successful trial", file=sys.stderr)
         return 3
-    best_cfg = dict(cfg)
-    best_cfg["command"] = "run"
-    best_cfg["reservoir.rho"] = best.params["rho"]
-    best_cfg["reservoir.G"] = best.params["G"]
-    best_cfg["reservoir.Phi0"] = best.params["Phi0"]
-    best_cfg["reservoir.tau_over_T"] = best.params["tau_over_T"]
-    best_cfg["readout.lam"] = best.params["lam"]
-    lines = [f"{k}={_fmt_value(best_cfg[k])}" for k in sorted(best_cfg)
-             if not k.startswith(("optimize.", "space.", "sweep."))]
-    with open(os.path.join(out, "best.cfg"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    best_cfg = {**cfg, "command": "run",
+                **{key: best.params[name] for name, key in _PARAM_KEYS.items()}}
+    _write_cfg(best_cfg, os.path.join(out, "best.cfg"),
+               skip=("optimize.", "space.", "sweep."))
     print(f"best trial {best.trial_id}: loss={best.loss!r} params="
           + " ".join(f"{k}={best.params[k]!r}" for k in hyperopt.DIMS))
     print(f"study -> {out}/study.jsonl ({len(study.trials)} trials), "
@@ -343,21 +328,9 @@ def cmd_sweep_delay(cfg: dict) -> int:
     grid = cfg.get("sweep.grid")
     if not grid:
         raise ConfigurationError("sweep.grid is required (comma list or lo:hi:step)")
-    k = cfg["reservoir.k"]
-    # collapse grid values landing on the same integer delay, keep first
-    seen, kept, dropped = set(), [], 0
-    for v in grid:
-        d = int(round(k * v))
-        if d in seen:
-            dropped += 1
-            continue
-        seen.add(d)
-        kept.append(v)
     rows = hyperopt.resonance_sweep(
-        cfg["task"], _params(cfg), kept, repeats=cfg["sweep.repeats"],
-        template=_template(cfg),
-        seeds={"sampler": cfg["seed.sampler"], "data": cfg["seed.data"],
-               "mask": cfg["seed.mask"]},
+        cfg["task"], _params(cfg), grid, repeats=cfg["sweep.repeats"],
+        template=_template(cfg), seeds=_seeds(cfg),
         task_options=_task_options(cfg))
     out = cfg["out"]
     write_csv(os.path.join(out, "sweep.csv"),
@@ -365,8 +338,8 @@ def cmd_sweep_delay(cfg: dict) -> int:
               hyperopt.sweep_to_rows(rows),
               _comment(cfg, "seed.mask", "seed.data"))
     peak = max(rows, key=lambda r: r.nmse_mean)
-    print(f"sweep: {len(rows)} rows ({dropped} duplicate delays collapsed) "
-          f"-> {out}/sweep.csv")
+    print(f"sweep: {len(rows)} rows ({len(grid) - len(rows)} duplicate delays "
+          f"collapsed) -> {out}/sweep.csv")
     print(f"peak: tau_over_T={peak.tau_over_T!r} d={peak.d} "
           f"nmse_mean={peak.nmse_mean!r}")
     return 0

@@ -53,6 +53,10 @@ class OscillatorParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        for name in ("G", "M", "x_b", "V_pi", "P_max", "G_star", "T_R", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.G > 0:
             raise ConfigurationError(f"G must be positive, got {self.G}")
         if not 0 < self.M <= 1:
@@ -65,11 +69,6 @@ class OscillatorParams:
             raise ConfigurationError(f"T_R must be nonnegative, got {self.T_R}")
         if not self.tau > 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-
-    @property
-    def discrete_map_valid(self) -> bool:
-        """Whether dropping the derivative term is justified (T_R << tau)."""
-        return self.T_R < self.tau / 20.0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Hyperparameter search over the five reservoir tunables (input scaling,
-gain, phase bias, delay ratio, ridge constant): random search, a
-Parzen-density suggester, study persistence, and the delay-resonance sweep.
+gain, phase bias, delay ratio, ridge constant): uniform and
+Parzen-density suggestion, study persistence, and the delay-resonance sweep.
 
 A study's objective is deterministic (fixed data seed), so re-running a
 study with the same seeds reproduces every trial; suggestion randomness is
@@ -25,7 +25,7 @@ from .exceptions import ConfigurationError
 
 __all__ = [
     "SearchSpace", "Trial", "Study", "SweepRow",
-    "random_search", "tpe_suggest", "run_study", "resonance_sweep",
+    "tpe_suggest", "run_study", "resonance_sweep",
     "save_study", "load_study", "sweep_to_rows",
 ]
 
@@ -127,20 +127,6 @@ def _run_objective(objective, params, trial_id, seed, record_timing):
                  status=status, wall_time=wall)
 
 
-def random_search(objective, space: SearchSpace, n_trials: int,
-                  seed: int = 0, record_timing: bool = False) -> Study:
-    """n independent draws from the space, evaluated in order."""
-    if n_trials < 1:
-        raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-    study = Study(space=space, objective={"kind": "callable"}, sampler_seed=seed)
-    for i in range(n_trials):
-        rng = np.random.default_rng([seed, i])
-        params = space.sample(rng)
-        study.trials.append(
-            _run_objective(objective, params, i, i, record_timing))
-    return study
-
-
 def _kde_logpdf(x, centers, bw):
     z = (x - centers[:, None]) / bw
     dens = np.mean(np.exp(-0.5 * z * z), axis=0) / (bw * math.sqrt(2 * math.pi))
@@ -206,13 +192,37 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     return params
 
 
-def _suggest(study: Study, space, sampler, trial_id, n_startup, gamma,
-             n_candidates):
+def _suggest(study: Study, sampler, trial_id, tpe_options):
     rng = np.random.default_rng([study.sampler_seed, trial_id])
-    if sampler == "random" or len(study.ok_trials()) < n_startup:
-        return space.sample(rng)
-    return tpe_suggest(study, space, gamma=gamma, n_candidates=n_candidates,
-                       rng=rng, n_startup=n_startup)
+    if sampler == "random":
+        return study.space.sample(rng)
+    return tpe_suggest(study, study.space, rng=rng, **tpe_options)
+
+
+def _search(study: Study, objective, budget: int, sampler: str, width: int = 1,
+            record_timing: bool = False, path=None, **tpe_options):
+    """Run trials on objective(params) -> loss until the study holds
+    budget trials, `width` at a time, appending each to path if given.
+    tpe_options (n_startup, gamma, n_candidates) go to tpe_suggest."""
+    while len(study.trials) < budget:
+        base = len(study.trials)
+        batch = min(width, budget - base)
+        suggestions = [_suggest(study, sampler, base + i, tpe_options)
+                       for i in range(batch)]
+        if batch == 1:
+            results = [_run_objective(objective, suggestions[0], base, base,
+                                      record_timing)]
+        else:
+            with ThreadPoolExecutor(max_workers=batch) as pool:
+                results = list(pool.map(
+                    lambda iv: _run_objective(objective, iv[1], base + iv[0],
+                                              base + iv[0], record_timing),
+                    enumerate(suggestions)))
+        for t in results:
+            study.trials.append(t)
+            if path is not None:
+                _append_trial(path, t)
+    return study
 
 
 def run_study(task: str, template: dict | None = None,
@@ -224,10 +234,11 @@ def run_study(task: str, template: dict | None = None,
     """Optimize the five tunables on a benchmark and persist the study.
 
     template fixes the non-searched reservoir fields (k, beta, M, add_bias).
-    seeds: {"sampler", "data", "mask"}. The data seed is held fixed so the
-    surrogate sees a noiseless objective. If path exists the study found
-    there is continued up to the requested budget (deterministically
-    identical to an uninterrupted run).
+    seeds: {"sampler", "data", "mask"}. Missing template and seed entries
+    come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
+    data seed is held fixed so the surrogate sees a noiseless objective.
+    If path exists the study found there is continued up to the requested
+    budget (deterministically identical to an uninterrupted run).
     """
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
@@ -236,15 +247,9 @@ def run_study(task: str, template: dict | None = None,
     if width < 1:
         raise ConfigurationError(f"width must be >= 1, got {width}")
     space = space or SearchSpace()
-    seeds = {"sampler": 0, "data": 0, "mask": 0, **(seeds or {})}
-    template = {"k": 50, "beta": 1.0, "M": 0.983, "add_bias": False,
-                **(template or {})}
-    eval_fn = pipeline.make_eval(
-        task, k=template["k"], mask_seed=seeds["mask"], beta=template["beta"],
-        M=template["M"], add_bias=template["add_bias"], options=task_options)
-
-    def objective(params):
-        return eval_fn(params, seeds["data"]).nmse_test
+    seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
+    template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
+    eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
 
     descriptor = {"task": task, "template": template, "seeds": seeds,
                   "sampler": sampler, "n_startup": n_startup, "gamma": gamma,
@@ -262,27 +267,10 @@ def run_study(task: str, template: dict | None = None,
                       sampler_seed=seeds["sampler"])
         if path is not None:
             save_study(study, path)
-
-    while len(study.trials) < budget:
-        base = len(study.trials)
-        batch = min(width, budget - base)
-        suggestions = [
-            _suggest(study, space, sampler, base + i, n_startup, gamma,
-                     n_candidates) for i in range(batch)]
-        if batch == 1:
-            results = [_run_objective(objective, suggestions[0], base, base,
-                                      record_timing)]
-        else:
-            with ThreadPoolExecutor(max_workers=batch) as pool:
-                results = list(pool.map(
-                    lambda iv: _run_objective(objective, iv[1], base + iv[0],
-                                              base + iv[0], record_timing),
-                    enumerate(suggestions)))
-        for t in results:
-            study.trials.append(t)
-            if path is not None:
-                _append_trial(path, t)
-    return study
+    return _search(study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
+                   budget, sampler, width=width, record_timing=record_timing,
+                   path=path, n_startup=n_startup, gamma=gamma,
+                   n_candidates=n_candidates)
 
 
 @dataclass(frozen=True)
@@ -300,28 +288,25 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
                     task_options: dict | None = None) -> list[SweepRow]:
     """NMSE versus delay-to-clock ratio with all other tunables held fixed.
 
-    Each grid value must map to a distinct integer sample delay d
-    (collapse duplicates upstream). Statistics are over `repeats` data
-    seeds (seeds["data"] + r).
+    Grid values that land on an integer sample delay d already taken by an
+    earlier value are collapsed: the first value for each d is kept, so the
+    rows may be fewer than the grid values. Statistics are over `repeats`
+    data seeds (seeds["data"] + r).
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
         raise ConfigurationError("tau_over_T grid is empty")
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    template = {"k": 50, "beta": 1.0, "M": 0.983, "add_bias": False,
-                **(template or {})}
-    seeds = {"sampler": 0, "data": 0, "mask": 0, **(seeds or {})}
-    k = template["k"]
-    ds = [int(round(k * v)) for v in grid]
-    if len(set(ds)) != len(ds):
-        raise ConfigurationError(
-            f"grid values collide on the sample grid (d values {ds})")
-    eval_fn = pipeline.make_eval(
-        task, k=k, mask_seed=seeds["mask"], beta=template["beta"],
-        M=template["M"], add_bias=template["add_bias"], options=task_options)
-    rows = []
-    for v, d in zip(grid, ds):
+    template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
+    seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
+    eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
+    rows, seen = [], set()
+    for v in grid:
+        d = int(round(template["k"] * v))
+        if d in seen:
+            continue
+        seen.add(d)
         params = {**base_params, "tau_over_T": v}
         losses = np.array([
             eval_fn(params, seeds["data"] + r).nmse_test

@@ -17,10 +17,23 @@ from .tasks import LabeledSeries, Split, SplitPart
 
 __all__ = [
     "EvalResult", "evaluate_series", "split_from_tags", "make_eval",
-    "TASK_IDS",
+    "TASK_DEFAULTS", "TASK_IDS", "TEMPLATE_DEFAULTS", "SEED_DEFAULTS",
 ]
 
-TASK_IDS = ("sine_square", "narma10", "vowels")
+# Experiment defaults, written once: make_eval, run_study, resonance_sweep
+# and the CLI schema read them from here. washout is the number of leading
+# steps of each scoring span left out of fitting and scoring.
+TASK_DEFAULTS = {
+    "sine_square": dict(n_waveforms=20, samples_per_period=(3, 5),
+                        periods_per_waveform=128, fraction=0.5, washout=10),
+    "narma10": dict(length=8000, fraction=0.5, washout=100),
+    "vowels": dict(n_per_class=40, synthetic_seed=0, path=None, washout=12),
+}
+TASK_IDS = tuple(TASK_DEFAULTS)
+# the reservoir and readout fields a study does not search
+TEMPLATE_DEFAULTS = dict(k=50, beta=ReservoirConfig.beta, M=ReservoirConfig.M,
+                         add_bias=False)
+SEED_DEFAULTS = dict(sampler=0, data=0, mask=0)
 
 
 @dataclass
@@ -104,58 +117,24 @@ def split_from_tags(series: LabeledSeries) -> Split:
                  SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
 
 
-# defaults for each benchmark; overridable through task options
-_SS_DEFAULTS = dict(n_waveforms=20, samples_per_period=(3, 5),
-                    periods_per_waveform=128, fraction=0.5, washout=10)
-_NARMA_DEFAULTS = dict(length=8000, fraction=0.5, washout=100)
-_VOWEL_DEFAULTS = dict(washout=12, n_per_class=40, synthetic_seed=0, path=None)
-
-
-def make_eval(task: str, k: int = 50, mask_seed: int = 0, beta: float = 1.0,
-              M: float = 0.983, add_bias: bool = False, options: dict | None = None):
-    """Build eval_fn(params, data_seed) -> EvalResult for a benchmark id.
-
-    params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
-    Vowel data (real file or synthetic) is prepared once at closure
-    creation, not per call.
-    """
-    if task not in TASK_IDS:
-        raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
-    opt = dict(options or {})
-
-    def build_cfg(params):
-        return ReservoirConfig.from_ratio(
-            k=k, rho=params["rho"], G=params["G"], Phi0=params["Phi0"],
-            tau_over_T=params["tau_over_T"], beta=beta, M=M,
-            washout_cycles=0, mask_seed=mask_seed)
-
+def _task_data(task: str, o: dict):
+    """data(seed) -> (series, split) for one benchmark and its options."""
     if task == "sine_square":
-        o = {**_SS_DEFAULTS, **opt}
-
-        def eval_fn(params, data_seed):
+        def data(seed):
             series = tasks.gen_sine_square(
                 o["n_waveforms"], o["samples_per_period"],
-                o["periods_per_waveform"], seed=data_seed)
-            split = tasks.split_train_test(series, o["fraction"],
-                                           seed=data_seed, unit="segment")
-            return evaluate_series(series, build_cfg(params), params["lam"],
-                                   split, part_washout=o["washout"],
-                                   add_bias=add_bias)
-        return eval_fn
+                o["periods_per_waveform"], seed=seed)
+            return series, tasks.split_train_test(series, o["fraction"],
+                                                  seed=seed, unit="segment")
+        return data
 
     if task == "narma10":
-        o = {**_NARMA_DEFAULTS, **opt}
+        def data(seed):
+            series = tasks.gen_narma10(o["length"], seed=seed)
+            return series, tasks.split_train_test(series, o["fraction"],
+                                                  seed=seed, unit="step-block")
+        return data
 
-        def eval_fn(params, data_seed):
-            series = tasks.gen_narma10(o["length"], seed=data_seed)
-            split = tasks.split_train_test(series, o["fraction"],
-                                           seed=data_seed, unit="step-block")
-            return evaluate_series(series, build_cfg(params), params["lam"],
-                                   split, part_washout=o["washout"],
-                                   add_bias=add_bias)
-        return eval_fn
-
-    o = {**_VOWEL_DEFAULTS, **opt}
     if o["path"]:
         samples = tasks.load_japanese_vowels(o["path"])
     else:
@@ -163,10 +142,32 @@ def make_eval(task: str, k: int = 50, mask_seed: int = 0, beta: float = 1.0,
                                              seed=o["synthetic_seed"])
     series = tasks.encode_multiplexed(samples, tasks.N_VOWEL_SPEAKERS)
     split = split_from_tags(series)
+    # the seed is ignored: the utterance set is fixed
+    return lambda seed: (series, split)
+
+
+def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
+              options: dict | None = None):
+    """Build eval_fn(params, data_seed) -> EvalResult for a benchmark id.
+
+    params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
+    template and options override TEMPLATE_DEFAULTS and the task's
+    TASK_DEFAULTS entry. Vowel data (real file or synthetic) is prepared
+    once at closure creation, not per call.
+    """
+    if task not in TASK_DEFAULTS:
+        raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
+    t = {**TEMPLATE_DEFAULTS, **(template or {})}
+    o = {**TASK_DEFAULTS[task], **(options or {})}
+    data = _task_data(task, o)
 
     def eval_fn(params, data_seed):
-        # data_seed is ignored: the utterance set is fixed
-        return evaluate_series(series, build_cfg(params), params["lam"],
-                               split, part_washout=o["washout"],
-                               add_bias=add_bias)
+        series, split = data(data_seed)
+        cfg = ReservoirConfig.from_ratio(
+            k=t["k"], rho=params["rho"], G=params["G"], Phi0=params["Phi0"],
+            tau_over_T=params["tau_over_T"], beta=t["beta"], M=t["M"],
+            washout_cycles=0, mask_seed=mask_seed)
+        return evaluate_series(series, cfg, params["lam"], split,
+                               part_washout=o["washout"],
+                               add_bias=t["add_bias"])
     return eval_fn

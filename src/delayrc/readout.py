@@ -43,8 +43,8 @@ def train_ridge(X, Y, lam: float, add_bias: bool = False) -> ReadoutWeights:
     offset already spans it approximately).
     """
     X, Y = _features(X), _as_2d(Y)
-    if lam < 0:
-        raise ConfigurationError(f"lambda must be nonnegative, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigurationError(f"lambda must be finite and nonnegative, got {lam}")
     if X.shape[1] != Y.shape[1]:
         raise ConfigurationError(
             f"X has {X.shape[1]} columns but Y has {Y.shape[1]}")

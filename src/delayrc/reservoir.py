@@ -18,18 +18,17 @@ cycle-to-cycle coupling matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
-from ._csvio import write_csv
 from .exceptions import ConfigurationError
 
 __all__ = [
     "ReservoirConfig", "InputMask", "StateMatrix", "TransitionStructure",
     "make_input_mask", "mask_input", "run_reservoir", "transition_structure",
-    "state_matrix_to_csv",
 ]
 
 
@@ -41,22 +40,20 @@ class ReservoirConfig:
     Phi0: float
     tau: float
     theta: float = 1.0
-    T: float = None  # type: ignore[assignment]  # defaults to k * theta
     beta: float = 1.0
     M: float = 0.983
     washout_cycles: int = 50
     mask_seed: int = 0
 
     def __post_init__(self):
-        if self.T is None:
-            object.__setattr__(self, "T", self.k * self.theta)
+        for name in ("rho", "G", "Phi0", "tau", "theta", "beta", "M"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if not self.theta > 0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
-        if self.T != self.k * self.theta:
-            raise ConfigurationError(
-                f"T must equal k*theta exactly ({self.k * self.theta!r}), got {self.T!r}")
         if not self.tau > 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.washout_cycles < 0:
@@ -68,6 +65,11 @@ class ReservoirConfig:
             raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
         if not self.G > 0:
             raise ConfigurationError(f"G must be positive, got {self.G}")
+
+    @property
+    def T(self) -> float:
+        """Clock cycle, k * theta."""
+        return self.k * self.theta
 
     @property
     def sample_delay(self) -> int:
@@ -101,16 +103,18 @@ class StateMatrix:
     """k x N harvested neuron states, washout columns already dropped."""
 
     entries: np.ndarray
-    n_cycles: int = field(default=0)
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "n_cycles", e.shape[1])
+        object.__setattr__(self, "entries",
+                           np.asarray(self.entries, dtype=float))
 
     @property
     def k(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def n_cycles(self) -> int:
+        return self.entries.shape[1]
 
 
 def make_input_mask(k: int, seed: int) -> InputMask:
@@ -122,11 +126,9 @@ def make_input_mask(k: int, seed: int) -> InputMask:
     return InputMask(values=gen.uniform(-1.0, 1.0, k), seed=seed)
 
 
-def mask_input(u, mask: InputMask, k: int | None = None) -> np.ndarray:
+def mask_input(u, mask: InputMask) -> np.ndarray:
     """Sample-and-hold plus masking: output[i + n k] = mask[i] u(n)."""
     u = np.asarray(u, dtype=float)
-    if k is not None and k != mask.k:
-        raise ConfigurationError(f"mask length {mask.k} does not match k={k}")
     return (u[:, None] * mask.values[None, :]).ravel()
 
 
@@ -196,9 +198,3 @@ def transition_structure(k: int, d: int) -> TransitionStructure:
         else:
             w_prev[i, i - dp + k] = 1.0
     return TransitionStructure(w_same, w_prev, c)
-
-
-def state_matrix_to_csv(X: StateMatrix, path, comment=None):
-    header = ["neuron"] + [f"cycle_{n}" for n in range(X.n_cycles)]
-    rows = ([i] + [float(v) for v in X.entries[i]] for i in range(X.k))
-    write_csv(path, header, rows, comment)

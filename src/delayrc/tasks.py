@@ -11,15 +11,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import write_csv
-from .exceptions import ConfigurationError, DataFormatError
+from .exceptions import ConfigurationError, DataFormatError, NumericsError
 
 __all__ = [
     "LabeledSeries", "SequenceSample", "Split", "SplitPart",
     "gen_sine_square", "gen_narma10", "narma10_recurrence",
     "load_japanese_vowels", "encode_multiplexed", "decode_multiplexed",
-    "gen_synthetic_vowels", "split_train_test", "dataset_to_csv",
+    "gen_synthetic_vowels", "split_train_test",
 ]
+
+# input draws gen_narma10 tries before it gives up on a diverging series
+NARMA_MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,23 @@ def gen_narma10(length: int, seed: int = 0) -> LabeledSeries:
     """Input drawn i.i.d. uniform on [0, 0.5]; target from the order-10
     recurrence. The recurrence can blow up for unlucky inputs, so any
     sequence with |y| > 1 is regenerated from a derived seed; the number of
-    regenerations is recorded in meta.
+    regenerations is recorded in meta. After NARMA_MAX_ATTEMPTS diverging
+    draws NumericsError is raised.
     """
     if length < 11:
         raise ConfigurationError(f"length must be >= 11, got {length}")
-    attempt = 0
-    while True:
+    for attempt in range(NARMA_MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         u = rng.uniform(0.0, 0.5, length)
-        y = narma10_recurrence(u)
+        # a diverging draw may overflow to inf; it is rejected just below
+        with np.errstate(over="ignore"):
+            y = narma10_recurrence(u)
         if np.all(np.abs(y) <= 1.0):
             break
-        attempt += 1
+    else:
+        raise NumericsError(
+            f"NARMA10 recurrence diverged on all {NARMA_MAX_ATTEMPTS} input "
+            f"draws (length={length}, seed={seed})")
     meta = {"task": "narma10", "seed": seed, "length": length,
             "regenerated": attempt}
     return LabeledSeries(u=u, y=y, meta=meta)
@@ -362,17 +369,3 @@ def split_train_test(data: LabeledSeries, fraction: float, seed: int = 0,
                      SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
     raise ConfigurationError(f"unit must be step-block or segment, got {unit!r}")
 
-
-def dataset_to_csv(series: LabeledSeries, path, comment=None):
-    seg_id = np.full(series.n_steps, -1)
-    if series.segments:
-        for j, (a, b, _) in enumerate(series.segments):
-            seg_id[a:b] = j
-    o = series.y.shape[0]
-    header = ["step", "u"] + [f"y{j}" for j in range(o)] + ["segment_id"]
-
-    def gen():
-        for t in range(series.n_steps):
-            yield [t, float(series.u[t])] + \
-                  [float(series.y[j, t]) for j in range(o)] + [int(seg_id[t])]
-    write_csv(path, header, gen(), comment)

@@ -185,6 +185,25 @@ def test_bad_value_exits_2(run_cli):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "reservoir.rho=nan"],
+    ["run", "reservoir.Phi0=nan"],
+    ["run", "reservoir.Phi0=inf"],
+    ["run", "reservoir.beta=nan"],
+    ["run", "reservoir.G=inf"],
+    ["run", "reservoir.tau_over_T=inf"],
+    ["run", "readout.lam=nan"],
+    ["run", "readout.lam=inf"],
+    ["dynamics", "regime", "dynamics.G=inf"],
+    ["dynamics", "cobweb", "dynamics.x_b=nan"],
+])
+def test_non_finite_value_exits_2(run_cli, argv):
+    extra = FAST_SS if argv[0] == "run" else []
+    code, _, err, _ = run_cli(argv + extra)
+    assert code == 2
+    assert "finite" in err
+
+
 def test_mismatched_config_command_exits_2(run_cli, tmp_path):
     code, _, _, outdir = run_cli(["run"] + FAST_SS)
     assert code == 0

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from delayrc import hyperopt
 from delayrc.exceptions import ConfigurationError
 from delayrc.hyperopt import (
     SearchSpace,
     Study,
     Trial,
     load_study,
-    random_search,
     resonance_sweep,
     run_study,
     save_study,
@@ -27,6 +27,13 @@ def quad_objective(params):
             + 0.1 * (params["Phi0"] - 1.0) ** 2
             + 0.05 * (params["tau_over_T"] - 2.0) ** 2
             + 0.01 * (math.log10(params["lam"]) + 4) ** 2)
+
+
+def search(objective, space, n_trials, seed=0, sampler="random"):
+    # the study driver behind run_study, on a plain objective
+    study = Study(space=space, objective={"kind": "callable"},
+                  sampler_seed=seed)
+    return hyperopt._search(study, objective, n_trials, sampler)
 
 
 # ------------------------------------------------------------------ space
@@ -66,7 +73,7 @@ def test_space_validation_and_roundtrip():
 # --------------------------------------------------------------- samplers
 
 def test_random_search_finds_quadratic_optimum():
-    study = random_search(quad_objective, SearchSpace(), 200, seed=0)
+    study = search(quad_objective, SearchSpace(), 200, seed=0)
     assert len(study.trials) == 200
     best = study.best
     assert best.loss < 0.05
@@ -80,11 +87,11 @@ def test_random_search_finds_quadratic_optimum():
 
 
 def test_random_search_is_deterministic():
-    a = random_search(quad_objective, SearchSpace(), 10, seed=4)
-    b = random_search(quad_objective, SearchSpace(), 10, seed=4)
+    a = search(quad_objective, SearchSpace(), 10, seed=4)
+    b = search(quad_objective, SearchSpace(), 10, seed=4)
     assert [t.params for t in a.trials] == [t.params for t in b.trials]
     assert [t.loss for t in a.trials] == [t.loss for t in b.trials]
-    c = random_search(quad_objective, SearchSpace(), 10, seed=5)
+    c = search(quad_objective, SearchSpace(), 10, seed=5)
     assert [t.params for t in a.trials] != [t.params for t in c.trials]
 
 
@@ -117,24 +124,13 @@ def test_tpe_suggestions_concentrate_near_good_region():
 
 def test_tpe_study_beats_random_on_quadratic():
     space = SearchSpace()
-    s_tpe = _study_on_quadratic(space, sampler="tpe")
-    s_rnd = _study_on_quadratic(space, sampler="random")
+    s_tpe = search(quad_objective, space, 70, sampler="tpe")
+    s_rnd = search(quad_objective, space, 70, sampler="random")
     tail = slice(20, None)
     mean_tpe = np.mean([t.loss for t in s_tpe.trials[tail]])
     mean_rnd = np.mean([t.loss for t in s_rnd.trials[tail]])
     assert mean_tpe < mean_rnd
     assert s_tpe.best.loss <= s_rnd.best.loss
-
-
-def _study_on_quadratic(space, sampler):
-    # run_study drives reservoir benchmarks; for sampler behaviour use the
-    # lower-level search driver with the same suggest logic
-    from delayrc.hyperopt import _run_objective, _suggest
-    study = Study(space=space, objective={"synthetic": True}, sampler_seed=0)
-    for i in range(70):
-        params = _suggest(study, space, sampler, i, 20, 0.25, 24)
-        study.trials.append(_run_objective(quad_objective, params, i, i, False))
-    return study
 
 
 def test_failed_trials_are_recorded_not_raised():
@@ -143,7 +139,7 @@ def test_failed_trials_are_recorded_not_raised():
             raise ValueError("boom")
         return params["rho"]
 
-    study = random_search(explosive, SearchSpace(), 30, seed=1)
+    study = search(explosive, SearchSpace(), 30, seed=1)
     failed = [t for t in study.trials if t.status != "ok"]
     ok = study.ok_trials()
     assert failed and ok
@@ -156,7 +152,7 @@ def test_non_finite_loss_marks_failure():
     def nan_obj(params):
         return float("nan")
 
-    study = random_search(nan_obj, SearchSpace(), 3, seed=0)
+    study = search(nan_obj, SearchSpace(), 3, seed=0)
     assert all(t.status != "ok" for t in study.trials)
     assert study.best is None
 
@@ -164,7 +160,7 @@ def test_non_finite_loss_marks_failure():
 # ------------------------------------------------------------- persistence
 
 def test_study_roundtrip(tmp_path):
-    study = random_search(quad_objective, SearchSpace(G=(0.1, 1.0)), 8,
+    study = search(quad_objective, SearchSpace(G=(0.1, 1.0)), 8,
                           seed=2)
     path = tmp_path / "s.jsonl"
     save_study(study, path)
@@ -180,7 +176,7 @@ def test_study_roundtrip(tmp_path):
 
 
 def test_study_file_is_stable_jsonl(tmp_path):
-    study = random_search(quad_objective, SearchSpace(), 3, seed=0)
+    study = search(quad_objective, SearchSpace(), 3, seed=0)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_study(study, p1)
     save_study(study, p2)
@@ -255,7 +251,11 @@ def test_resonance_sweep_rows():
         assert r.nmse_std >= 0
 
 
-def test_resonance_sweep_rejects_colliding_ratios():
+def test_resonance_sweep_collapses_colliding_ratios():
+    # 0.501 and 0.502 both round to d=25 at k=50: the first value is kept
     base = dict(rho=0.9, G=0.56, Phi0=0.2, lam=1e-6)
-    with pytest.raises(ConfigurationError):
-        resonance_sweep("sine_square", base, (0.501, 0.502), repeats=1)
+    rows = resonance_sweep("sine_square", base, (0.501, 0.502, 1.0), repeats=1,
+                           task_options={"n_waveforms": 4,
+                                         "periods_per_waveform": 8,
+                                         "washout": 2})
+    assert [(r.tau_over_T, r.d) for r in rows] == [(0.501, 25), (1.0, 50)]

@@ -262,6 +262,12 @@ def test_numpy_block_recursion_matches_python_loop():
             s[m + d] = 0.5 * 0.9 * (1 + 0.983 * np.sin(
                 np.pi * (0.8 * s[m] + 0.5 * J[m]) + 0.3))
         assert np.array_equal(a, s[d:])
+        # evolve_samples_loop is the exact source numba compiles, so this
+        # checks the backends' bitwise agreement where numba is absent too
+        for h in (hist, rng.uniform(0, 1, d)):
+            args = (J, d, 1.1, 0.983, 0.85, 0.9, 0.63, h)
+            assert np.array_equal(_kernels.evolve_samples_numpy(*args),
+                                  _kernels.evolve_samples_loop(*args))
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")

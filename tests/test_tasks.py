@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from delayrc.exceptions import ConfigurationError, DataFormatError
+from delayrc import tasks
+from delayrc.exceptions import ConfigurationError, DataFormatError, NumericsError
 from delayrc.tasks import (
     LabeledSeries,
     TEST_COUNTS,
@@ -108,6 +109,21 @@ def test_narma_oracle_direct():
         y[t + 1] = (0.3 * y[t] + 0.05 * y[t] * s
                     + 1.5 * (u[t - 9] if t >= 9 else 0.0) * u[t] + 0.1)
     assert np.array_equal(narma10_recurrence(u), y)
+
+
+def test_gen_narma_gives_up_after_bounded_attempts(monkeypatch):
+    calls = []
+
+    def diverging(u):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("gen_narma10 retries without a bound")
+        return np.full(len(u), 2.0)
+
+    monkeypatch.setattr(tasks, "narma10_recurrence", diverging)
+    with pytest.raises(NumericsError):
+        gen_narma10(50, seed=0)
+    assert len(calls) == tasks.NARMA_MAX_ATTEMPTS
 
 
 def test_gen_narma_bounded_and_seeded():
