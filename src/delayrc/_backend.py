@@ -4,10 +4,13 @@ DELAYRC_BACKEND controls which implementation of the hot loops is used:
 
   auto   - numba if importable, else numpy (default)
   numba  - require the compiled kernels, fail if numba is missing
-  numpy  - force the pure-numpy block recursion
+  numpy  - force the pure-numpy kernels
 
-Both backends produce bitwise-identical results; the flag only trades
-compile latency against throughput. See benchmarks/bench_kernels.py.
+The numpy sample recursion picks one of two strategies by the delay d: a
+per-sample scalar loop for short delays and a block recursion for long
+ones (see _kernels). Both backends produce bitwise-identical results; the
+flag only trades compile latency against throughput. See
+benchmarks/bench_kernels.py.
 """
 
 import os

@@ -1,11 +1,25 @@
 """Hot numerical loops, written once and compiled with numba when available.
 
-Each kernel has a pure-numpy twin that produces bitwise-identical output
-(the recursion is evaluated in blocks of the delay length, inside which all
-dependencies are already resolved). Backend selection lives in _backend.
+The sample recursion has a numpy-path twin that produces bitwise-identical
+output. It runs one of two strategies, chosen by the delay d: for d below
+_SCALAR_BELOW a per-sample loop on Python floats, otherwise a block
+recursion in steps of d samples, inside which all dependencies are already
+resolved. The block recursion makes about eight numpy calls per d samples,
+so at short delays their call overhead costs more than the plain loop.
+Backend selection lives in _backend.
 """
 
+import math
+
 import numpy as np
+
+# d below which evolve_samples_numpy steps sample by sample: the two
+# strategies take equal time near d = 36 (400k samples, numpy 2.4, 2-core
+# x86 host; benchmarks/bench_kernels.py, BENCH_3.json)
+_SCALAR_BELOW = 36
+# samples per chunk of the scalar loop: bounds its Python lists to
+# _CHUNK + d floats whatever the stream length
+_CHUNK = 4096
 
 
 def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
@@ -20,6 +34,30 @@ def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
 
 
 def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
+    """The numpy-path sample recursion: the scalar loop for d below
+    _SCALAR_BELOW, the block recursion otherwise."""
+    kernel = evolve_samples_scalar if d < _SCALAR_BELOW else evolve_samples_block
+    return kernel(J, d, G, M, beta, rho, Phi0, history)
+
+
+def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history):
+    # per-sample loop over chunks; s holds the d samples carried from the
+    # previous chunk, then this chunk's samples, so s[-d] is s(m - d)
+    n = J.size
+    out = np.empty(n)
+    half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
+    pi, sin = math.pi, math.sin
+    carry = np.asarray(history, dtype=float).tolist()
+    for c in range(0, n, _CHUNK):
+        s = carry
+        for x in (rho * J[c:c + _CHUNK]).tolist():
+            s.append(half_G * (1.0 + M * sin(pi * (beta * s[-d] + x) + Phi0)))
+        out[c:c + len(s) - d] = s[d:]
+        carry = s[-d:]
+    return out
+
+
+def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history):
     # block recursion: samples [b, b+d) depend only on samples < b
     n = J.size
     s_ext = np.empty(n + d)

@@ -130,6 +130,8 @@ def cobweb(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     Alternates vertical and horizontal segment endpoints
     (x0,x1),(x1,x1),(x1,x2),(x2,x2),... for overlay with the diagonal y=x.
     """
+    if not math.isfinite(x0):
+        raise ConfigurationError(f"x0 must be finite, got {x0!r}")
     traj = iterate(x0, n, p)
     pts = np.empty((2 * n, 2))
     for i in range(n):
@@ -296,14 +298,15 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     multiples of dt; with T_R = 0 the relation is enforced pointwise and the
     trace at multiples of tau reproduces the discrete map exactly.
     """
+    for name, v in (("duration", duration), ("dt", dt)):
+        if not (math.isfinite(v) and v > 0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {v!r}")
     if dt > p.tau / 100.0:
         raise ConfigurationError(
             f"dt must be <= tau/100 ({p.tau / 100.0:g}), got {dt:g}")
     if p.T_R > 0 and dt > p.T_R / 10.0:
         raise ConfigurationError(
             f"dt must be <= T_R/10 ({p.T_R / 10.0:g}) when T_R > 0, got {dt:g}")
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
     if p.G_star * p.P_max <= 0:
         raise ConfigurationError(
             "integrate_dde needs the physical drive (G_star, P_max), "
@@ -317,8 +320,11 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
         jj = (j - shift) - q
         if jj < 0.0:
             pre[j] = float(history(jj * dt))
+    V0 = float(history(0.0))
+    if not (math.isfinite(V0) and np.all(np.isfinite(pre))):
+        raise ConfigurationError("history must be finite on [-tau, 0]")
     V = _backend.dde_euler(n_steps, dt, q, p.T_R, 0.5 * p.G_star * p.P_max,
-                           p.M, 1.0 / p.V_pi, p.x_b, pre, float(history(0.0)))
+                           p.M, 1.0 / p.V_pi, p.x_b, pre, V0)
     return np.arange(n_steps + 1) * dt, V
 
 

@@ -262,6 +262,9 @@ def run_study(task: str, template: dict | None = None,
         if study.objective != descriptor or study.space != space:
             raise ConfigurationError(
                 f"existing study at {path} was run with a different setup")
+        if _torn(path):
+            # load_study dropped the torn line; rewrite before appending
+            save_study(study, path)
     else:
         study = Study(space=space, objective=descriptor,
                       sampler_seed=seeds["sampler"])
@@ -339,15 +342,27 @@ def _trial_record(t: Trial) -> dict:
 
 def save_study(study: Study, path):
     """Line-delimited persistence: one header record, then one trial per
-    line in trial-id order."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(_json({"record": "header", "format_version": _FORMAT_VERSION,
-                        "space": study.space.as_dict(),
-                        "objective": study.objective,
-                        "sampler_seed": study.sampler_seed}) + "\n")
-        for t in study.trials:
-            fh.write(_json(_trial_record(t)) + "\n")
+    line in trial-id order. The file is written to a temporary file in the
+    same directory and renamed over path, so a crash leaves either the old
+    file or the new one."""
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(_json({"record": "header",
+                            "format_version": _FORMAT_VERSION,
+                            "space": study.space.as_dict(),
+                            "objective": study.objective,
+                            "sampler_seed": study.sampler_seed}) + "\n")
+            for t in study.trials:
+                fh.write(_json(_trial_record(t)) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # left behind only when writing failed
+            os.unlink(tmp)
 
 
 def _append_trial(path, t: Trial):
@@ -355,25 +370,46 @@ def _append_trial(path, t: Trial):
         fh.write(_json(_trial_record(t)) + "\n")
 
 
+def _torn(path) -> bool:
+    """True when the file's last line lacks its newline: an append was cut
+    short."""
+    with open(path, "rb") as fh:
+        return not fh.read().endswith(b"\n")
+
+
 def load_study(path) -> Study:
+    """Read a study file. A torn final trial line (one cut short by a crash
+    during an append) is dropped: suggestions are keyed by trial id, so
+    that trial runs again with the same result. Any other unreadable line
+    raises ConfigurationError."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        text = fh.read()
+    lines = text.splitlines()
+    if len(lines) > 1 and not text.endswith("\n"):
+        lines.pop()
+    lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ConfigurationError(f"empty study file: {path}")
-    head = json.loads(lines[0])
-    if head.get("record") != "header":
-        raise ConfigurationError(f"{path} does not start with a study header")
-    study = Study(space=SearchSpace.from_dict(head["space"]),
-                  objective=head["objective"],
-                  sampler_seed=head["sampler_seed"])
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        if rec.get("record") != "trial":
-            raise ConfigurationError("unexpected record in study file")
-        study.trials.append(Trial(
-            trial_id=rec["trial_id"], params=rec["params"], loss=rec["loss"],
-            seed=rec["seed"], status=rec["status"],
-            wall_time=rec["wall_time"]))
+    try:
+        head = json.loads(lines[0])
+        if head.get("record") != "header":
+            raise ConfigurationError(f"{path} does not start with a study header")
+        study = Study(space=SearchSpace.from_dict(head["space"]),
+                      objective=head["objective"],
+                      sampler_seed=head["sampler_seed"])
+        for ln in lines[1:]:
+            rec = json.loads(ln)
+            if rec.get("record") != "trial":
+                raise ConfigurationError("unexpected record in study file")
+            study.trials.append(Trial(
+                trial_id=rec["trial_id"], params=rec["params"],
+                loss=rec["loss"], seed=rec["seed"], status=rec["status"],
+                wall_time=rec["wall_time"]))
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"corrupt study file {path}: {type(exc).__name__}: {exc}") from None
     expected = list(range(len(study.trials)))
     if [t.trial_id for t in study.trials] != expected:
         raise ConfigurationError(f"study file {path} has non-contiguous trial ids")

@@ -5,6 +5,7 @@ one place."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,6 +147,20 @@ def _task_data(task: str, o: dict):
     return lambda seed: (series, split)
 
 
+def _last_seed_cached(data):
+    """Wrap data(seed) to keep the (series, split) of the last seed asked
+    for. A study holds one data seed, so it builds its series once; one
+    entry bounds what a sweep over many seeds keeps. Every call on that
+    seed shares the arrays, so they are made read-only."""
+    @functools.lru_cache(maxsize=1)
+    def cached(seed):
+        series, split = data(seed)
+        for a in (series.u, series.y, split.train.steps, split.test.steps):
+            a.setflags(write=False)
+        return series, split
+    return cached
+
+
 def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
               options: dict | None = None):
     """Build eval_fn(params, data_seed) -> EvalResult for a benchmark id.
@@ -153,13 +168,14 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
     params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
     template and options override TEMPLATE_DEFAULTS and the task's
     TASK_DEFAULTS entry. Vowel data (real file or synthetic) is prepared
-    once at closure creation, not per call.
+    once at closure creation, not per call; other series are built on the
+    first call with a data seed and kept until a call with another seed.
     """
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
     t = {**TEMPLATE_DEFAULTS, **(template or {})}
     o = {**TASK_DEFAULTS[task], **(options or {})}
-    data = _task_data(task, o)
+    data = _last_seed_cached(_task_data(task, o))
 
     def eval_fn(params, data_seed):
         series, split = data(data_seed)

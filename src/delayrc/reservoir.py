@@ -150,6 +150,11 @@ def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
     if u.size <= cfg.washout_cycles:
         raise ConfigurationError(
             f"need more than washout_cycles={cfg.washout_cycles} input steps, got {u.size}")
+    if d > u.size * cfg.k:
+        # no sample could feed back, and d sizes the history buffer
+        raise ConfigurationError(
+            f"sample delay tau/theta={cfg.tau / cfg.theta:g} is longer than "
+            f"the stream ({u.size} cycles of k={cfg.k} samples)")
     if history is None:
         history = np.zeros(d)
     else:

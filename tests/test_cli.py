@@ -9,6 +9,7 @@ from conftest import hash_tree, read_csv_rows
 
 FAST_SS = ["task=sine_square", "task.n_waveforms=4", "task.periods=8",
            "task.washout=2"]
+DDE = ["dynamics.P_max=0.0003", "dynamics.G_star=1866.6666666666667"]
 
 
 def test_regime_command_reports_chaos(run_cli):
@@ -196,6 +197,9 @@ def test_bad_value_exits_2(run_cli):
     ["run", "readout.lam=inf"],
     ["dynamics", "regime", "dynamics.G=inf"],
     ["dynamics", "cobweb", "dynamics.x_b=nan"],
+    ["dynamics", "cobweb", "dynamics.x0=nan"],
+    ["dynamics", "dde"] + DDE + ["dde.duration=nan"],
+    ["dynamics", "dde"] + DDE + ["dde.history_value=nan"],
 ])
 def test_non_finite_value_exits_2(run_cli, argv):
     extra = FAST_SS if argv[0] == "run" else []
@@ -216,6 +220,29 @@ def test_mismatched_config_command_exits_2(run_cli, tmp_path):
 def test_sub_sample_delay_exits_2(run_cli):
     code, _, err, _ = run_cli(["run", "reservoir.tau_over_T=0.005"] + FAST_SS)
     assert code == 2
+
+
+def test_delay_longer_than_stream_exits_2(run_cli):
+    code, _, err, _ = run_cli(["run", "reservoir.tau_over_T=1e300"] + FAST_SS)
+    assert code == 2
+    assert "longer than the stream" in err
+
+
+def test_optimize_resumes_torn_study_file(run_cli):
+    args = ["optimize", "optimize.n_startup=2", "seed.sampler=5"] + FAST_SS
+    code, _, _, outdir = run_cli(args + ["optimize.budget=3"])
+    assert code == 0
+    path = outdir / "study.jsonl"
+    path.write_bytes(path.read_bytes()[:-15])   # a crash mid-append
+    code, _, _, outdir = run_cli(args + ["optimize.budget=4"])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 4
+    lines[1] = lines[1][:20]
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err, _ = run_cli(args + ["optimize.budget=5"])
+    assert code == 2
+    assert "corrupt study file" in err
 
 
 def test_unparseable_flag_exits_2(run_cli, capsys):

@@ -204,6 +204,52 @@ def test_run_study_persists_and_resumes(tmp_path):
     assert [t.loss for t in back.trials] == [t.loss for t in full.trials]
 
 
+def test_load_study_drops_torn_final_line_only(tmp_path):
+    study = search(quad_objective, SearchSpace(), 3, seed=0)
+    path = tmp_path / "s.jsonl"
+    save_study(study, path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-9])
+    back = load_study(path)
+    assert [t.params for t in back.trials] == [t.params for t in study.trials[:2]]
+    lines = whole.split(b"\n")
+    lines[2] = lines[2][:-9]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigurationError, match="corrupt"):
+        load_study(path)
+    path.write_bytes(whole.replace(b'"status"', b'"state"', 1))
+    with pytest.raises(ConfigurationError, match="corrupt"):
+        load_study(path)
+
+
+def test_save_study_replaces_file_whole(tmp_path):
+    study = search(quad_objective, SearchSpace(), 2, seed=0)
+    path = tmp_path / "s.jsonl"
+    save_study(study, path)
+    before = path.read_bytes()
+    study.objective = {"bad": object()}   # not serializable: fails midway
+    with pytest.raises(TypeError):
+        save_study(study, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+
+def test_run_study_resumes_torn_file(tmp_path):
+    path = tmp_path / "study.jsonl"
+    kw = dict(task="sine_square", n_startup=2,
+              task_options={"n_waveforms": 4, "periods_per_waveform": 8,
+                            "washout": 2})
+    run_study(path=tmp_path / "full.jsonl", budget=4, **kw)
+    run_study(path=path, budget=3, **kw)
+    whole = path.read_bytes()
+    run_study(path=path, budget=3, **kw)
+    assert path.read_bytes() == whole   # an intact study keeps its bytes
+    path.write_bytes(whole[:-12])
+    resumed = run_study(path=path, budget=4, **kw)
+    assert len(resumed.trials) == 4
+    assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+
 def test_run_study_rejects_mismatched_resume(tmp_path):
     path = tmp_path / "study.jsonl"
     kw = dict(task="sine_square", budget=2, n_startup=1,

@@ -51,6 +51,27 @@ def test_data_seed_changes_series_not_structure():
     assert np.array_equal(a.y_hat, again.y_hat)
 
 
+def test_cached_data_matches_fresh_closures():
+    opts = {"length": 600, "washout": 20}
+    ev = make_eval("narma10", options=opts)
+    for seed in (0, 1, 0):
+        a = ev(PARAMS, data_seed=seed)
+        b = make_eval("narma10", options=opts)(PARAMS, data_seed=seed)
+        assert np.array_equal(a.series.u, b.series.u)
+        assert np.array_equal(a.y_hat, b.y_hat)
+        assert (a.nmse_train, a.nmse_test) == (b.nmse_train, b.nmse_test)
+
+
+def test_cached_data_is_read_only():
+    ev = make_eval("narma10", options={"length": 600, "washout": 20})
+    res = ev(PARAMS, data_seed=0)
+    # every call on this seed shares the series and split
+    assert ev(PARAMS, data_seed=0).series is res.series
+    for a in (res.series.u, res.series.y, res.split.train.steps):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_washout_larger_than_part_rejected():
     series = gen_narma10(300, seed=0)
     split = split_train_test(series, 0.5, seed=0, unit="step-block")

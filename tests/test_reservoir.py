@@ -134,6 +134,14 @@ def test_mask_length_must_match_k():
         run_reservoir(np.zeros(4), cfg_for(k=10), make_input_mask(9, 0))
 
 
+def test_delay_longer_than_stream_rejected():
+    u = np.full(4, 0.5)
+    cfg = cfg_for(k=5, tau=20.0)
+    assert run_reservoir(u, cfg, make_input_mask(5, 0)).entries.shape == (5, 4)
+    with pytest.raises(ConfigurationError, match="longer than the stream"):
+        run_reservoir(u, cfg_for(k=5, tau=21.0), make_input_mask(5, 0))
+
+
 def test_delay_under_one_sample_rejected():
     c = cfg_for(k=10, tau=0.4)
     with pytest.raises(ConfigurationError):
@@ -253,8 +261,10 @@ def test_matrix_form_reproduces_samplewise_run(k, d, seed):
 
 def test_numpy_block_recursion_matches_python_loop():
     rng = np.random.default_rng(11)
-    J = rng.uniform(-1, 1, 700)
-    for d in (1, 3, 50, 137, 700, 900):
+    # longer than one scalar-loop chunk and a multiple of neither it nor d
+    J = rng.uniform(-1, 1, _kernels._CHUNK + 907)
+    below = _kernels._SCALAR_BELOW
+    for d in (1, 3, below - 1, below, 50, 137, 700, 6000):
         hist = np.zeros(d)
         a = _kernels.evolve_samples_numpy(J, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
         s = np.zeros(J.size + d)
@@ -263,11 +273,16 @@ def test_numpy_block_recursion_matches_python_loop():
                 np.pi * (0.8 * s[m] + 0.5 * J[m]) + 0.3))
         assert np.array_equal(a, s[d:])
         # evolve_samples_loop is the exact source numba compiles, so this
-        # checks the backends' bitwise agreement where numba is absent too
+        # checks the backends' bitwise agreement where numba is absent too;
+        # both numpy strategies are checked at every d, not only the one
+        # evolve_samples_numpy picks
         for h in (hist, rng.uniform(0, 1, d)):
             args = (J, d, 1.1, 0.983, 0.85, 0.9, 0.63, h)
-            assert np.array_equal(_kernels.evolve_samples_numpy(*args),
-                                  _kernels.evolve_samples_loop(*args))
+            ref = _kernels.evolve_samples_loop(*args)
+            for kernel in (_kernels.evolve_samples_numpy,
+                           _kernels.evolve_samples_scalar,
+                           _kernels.evolve_samples_block):
+                assert np.array_equal(kernel(*args), ref), (kernel, d)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
