@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Timing of the sample-recursion kernels.
+"""Timing of the sample-recursion kernels and of the map-dynamics stages.
 
 The reservoir update is an inherently sequential recursion (each sample
 feeds back d steps later). The numpy path has two strategies: a per-sample
@@ -11,15 +11,22 @@ streams. This script times each strategy at several delays, checks that
 they agree, and scans d for the delay from which the block recursion is
 faster than the loop: the crossover _SCALAR_BELOW is set from.
 
-Usage: python3 benchmarks/bench_kernels.py [n_samples]
+The dynamics section times the stages of a bifurcation diagram:
+fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
+iterate behind each orbit, and a 31-value sweep over the CLI's default
+range (G over [0.1, 1.6]), also given per axis value. Run it with
+PYTHONPATH pointing at another checkout's src to time that version.
+
+Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
+  S is recursion, dynamics or all (default).
 """
 
-import sys
+import argparse
 import time
 
 import numpy as np
 
-from delayrc import _kernels
+from delayrc import _kernels, dynamics
 
 PARAMS = (0.9, 0.983, 0.85, 0.9, 0.63)   # G, M, beta, rho, Phi0
 
@@ -47,8 +54,41 @@ def crossover(J, ds):
     return ratios, None
 
 
-def main():
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 400_000
+def best_ms(fn, *args, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
+def bench_dynamics():
+    gains = (0.56, 0.93, 1.2, 1.49)
+    print(f"fixed_points_of_iterate, {dynamics._GRID_CELLS} grid cells, "
+          "best of 5, ms per call (roots found)")
+    print(f"{'G':>6} " + " ".join(f"{f'N={N}':>13}" for N in range(1, 9)))
+    for G in gains:
+        p = dynamics.OscillatorParams(G=G)
+        cells = [f"{best_ms(dynamics.fixed_points_of_iterate, p, N):7.2f} "
+                 f"({len(dynamics.fixed_points_of_iterate(p, N)):>3})"
+                 for N in range(1, 9)]
+        print(f"{G:>6} " + " ".join(f"{c:>13}" for c in cells))
+
+    print("\ntransient iterate, 10,000 + 128 steps, best of 5")
+    for G in gains:
+        t = best_ms(dynamics.iterate, 0.1, 10_128,
+                    dynamics.OscillatorParams(G=G))
+        print(f"  G={G}: {t:.2f} ms")
+
+    steps = 31
+    t = best_ms(dynamics.bifurcation_sweep, "G", (0.1, 1.6), steps,
+                dynamics.OscillatorParams(G=0.56), repeats=3)
+    print(f"\nbifurcation_sweep G over [0.1, 1.6], {steps} axis values, "
+          f"N_max 8, best of 3: {t:.1f} ms, {t / steps:.1f} ms per value")
+
+
+def bench_recursion(n):
     rng = np.random.default_rng(0)
     J = rng.uniform(-1.0, 1.0, n)
     below = _kernels._SCALAR_BELOW
@@ -100,6 +140,20 @@ def main():
               f"{'bitwise' if same else 'DIFFER'}")
     else:
         print(f"\ndde euler, {dde_n:,} steps: numpy {t_np * 1e3:.1f} ms")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
+    ap.add_argument("n_samples", nargs="?", type=int, default=400_000)
+    ap.add_argument("--section", choices=("recursion", "dynamics", "all"),
+                    default="all")
+    args = ap.parse_args()
+    if args.section in ("recursion", "all"):
+        bench_recursion(args.n_samples)
+    if args.section in ("dynamics", "all"):
+        if args.section == "all":
+            print()
+        bench_dynamics()
 
 
 if __name__ == "__main__":

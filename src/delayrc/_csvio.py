@@ -1,7 +1,9 @@
 """Deterministic CSV writing shared by the emitters.
 
 Floats are rendered with repr (shortest round-trip form) so identical runs
-produce byte-identical files on any platform with IEEE-754 doubles.
+produce byte-identical files on any platform with IEEE-754 doubles. Every
+artifact is written through write_atomic, so none is ever left half
+written.
 """
 
 import os
@@ -21,13 +23,31 @@ def fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows, comment=None):
-    tmp = []
-    if comment:
-        tmp.append("# " + comment)
-    tmp.append(",".join(header))
-    for row in rows:
-        tmp.append(",".join(fmt(v) for v in row))
+def write_atomic(path, fill):
+    """Write the file at path through fill(fh), all or nothing.
+
+    fill writes to a temporary file in the same directory, which is fsynced
+    and renamed over path, so a crash or an exception in fill leaves either
+    the old file or the whole new one, and no temporary file behind.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(tmp) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fill(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # left behind only when writing failed
+            os.unlink(tmp)
+
+
+def write_csv(path, header, rows, comment=None):
+    def fill(fh):
+        if comment:
+            fh.write("# " + comment + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+    write_atomic(path, fill)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, hyperopt, pipeline, tasks
-from ._csvio import fmt, write_csv
+from ._csvio import fmt, write_atomic, write_csv
 from .exceptions import ConfigurationError, DataFormatError, DelayRCError
 
 __all__ = ["main", "entrypoint"]
@@ -171,8 +171,8 @@ def _write_cfg(cfg: dict, path, skip=()):
     """Flat key=value file, sorted by key, omitting keys starting with skip."""
     lines = [f"{k}={_fmt_value(cfg[k])}" for k in sorted(cfg)
              if not k.startswith(skip)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def _echo_config(cfg: dict):

@@ -110,8 +110,11 @@ def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     out = np.empty(n + 1)
     out[0] = x0
     x = float(x0)
+    # locals for the hot loop; Python multiplies left to right, so
+    # half_g*(...) rounds exactly as step_map's 0.5*G*(...) does
+    half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
     for i in range(1, n + 1):
-        x = 0.5 * p.G * (1.0 + p.M * math.sin(math.pi * (x + p.x_b)))
+        x = half_g * (1.0 + m * sin(pi * (x + x_b)))
         out[i] = x
     return out
 
@@ -160,6 +163,23 @@ def _bisect(f, a, b, fa, fb):
     return 0.5 * (a + b)
 
 
+def _root_brackets(xs, fs):
+    """Cells of the grid (xs, fs) that hold a root of f, in ascending order,
+    as (a, b, fa, fb).
+
+    Cell i spans [xs[i], xs[i+1]]. A zero at its left end is a root on the
+    grid: the cell comes back with fa == 0 and is not searched further.
+    Otherwise a sign change across the cell brackets a root for _bisect. A
+    zero at the last grid point comes back as the cell (xs[-1], xs[-1]).
+    """
+    left = fs[:-1]
+    cells = np.flatnonzero((left == 0.0) | ((left < 0) != (fs[1:] < 0)))
+    out = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in cells.tolist()]
+    if fs[-1] == 0.0:
+        out.append((xs[-1], xs[-1], fs[-1], fs[-1]))
+    return out
+
+
 def _orbit_multiplier(x_star, period, p):
     mult = 1.0
     x = x_star
@@ -172,10 +192,12 @@ def _orbit_multiplier(x_star, period, p):
 def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
     """All period points of the N-th iterate on [0, G], with stability.
 
-    Roots of iterate_n(x, N) - x are located by sign-change bracketing on a
-    uniform grid and refined by bisection. Each root is assigned the
-    smallest period dividing N that it actually satisfies, and the orbit
-    multiplier prod |f'(x_i)| decides stability (strict: multiplier < 1).
+    Roots of iterate_n(x, N) - x are bracketed on a uniform grid of
+    _GRID_CELLS cells: one vectorized pass over the grid values finds the
+    exact zeros and sign changes, and only those cells are refined, each by
+    scalar bisection. Each root is assigned the smallest period dividing N
+    that it actually satisfies, and the orbit multiplier prod |f'(x_i)|
+    decides stability (strict: multiplier < 1).
     """
     if not 1 <= N <= 16:
         raise ConfigurationError(f"N must be in [1, 16], got {N}")
@@ -186,15 +208,8 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
     def f(x):
         return float(iterate_n(x, N, p) - x)
 
-    roots = []
-    for i in range(_GRID_CELLS):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            roots.append(xs[i])
-        elif (fa < 0) != (fb < 0):
-            roots.append(_bisect(f, xs[i], xs[i + 1], fa, fb))
-    if fs[-1] == 0.0:
-        roots.append(xs[-1])
+    roots = [a if fa == 0.0 else _bisect(f, a, b, fa, fb)
+             for a, b, fa, fb in _root_brackets(xs, fs)]
 
     out = []
     for r in sorted(roots):
@@ -288,6 +303,9 @@ def classify_regime(p: OscillatorParams, transient: int = 10_000,
     return Regime("periodic", 0, lyap)
 
 
+_DDE_MAX_STEPS = 10_000_000   # arrays of this many doubles take 80 MB each
+
+
 def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     """Explicit first-order integration of the delay-differential loop model
 
@@ -297,6 +315,7 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     history must be callable on [-tau, 0]. Returns (t, V) arrays sampled at
     multiples of dt; with T_R = 0 the relation is enforced pointwise and the
     trace at multiples of tau reproduces the discrete map exactly.
+    duration/dt may be at most _DDE_MAX_STEPS steps.
     """
     for name, v in (("duration", duration), ("dt", dt)):
         if not (math.isfinite(v) and v > 0):
@@ -312,6 +331,10 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
             "integrate_dde needs the physical drive (G_star, P_max), "
             f"got G_star={p.G_star:g}, P_max={p.P_max:g}")
 
+    if duration / dt > _DDE_MAX_STEPS:
+        raise ConfigurationError(
+            f"duration/dt asks for {duration / dt:g} steps, more than "
+            f"{_DDE_MAX_STEPS:,}")
     n_steps = int(round(duration / dt))
     q = p.tau / dt
     shift = 1 if p.T_R > 0 else 0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
+from ._csvio import write_atomic
 from .exceptions import ConfigurationError
 
 __all__ = [
@@ -294,7 +295,8 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     Grid values that land on an integer sample delay d already taken by an
     earlier value are collapsed: the first value for each d is kept, so the
     rows may be fewer than the grid values. Statistics are over `repeats`
-    data seeds (seeds["data"] + r).
+    data seeds (seeds["data"] + r). The seeds form the outer loop, so each
+    seed's series is built once for the whole grid.
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
@@ -304,17 +306,18 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
-    rows, seen = [], set()
+    kept = {}                                  # d -> first grid value
     for v in grid:
-        d = int(round(template["k"] * v))
-        if d in seen:
-            continue
-        seen.add(d)
-        params = {**base_params, "tau_over_T": v}
-        losses = np.array([
-            eval_fn(params, seeds["data"] + r).nmse_test
-            for r in range(repeats)])
-        rows.append(SweepRow(v, d, float(losses.mean()), float(losses.std()),
+        kept.setdefault(int(round(template["k"] * v)), v)
+    losses = {d: [] for d in kept}
+    for r in range(repeats):
+        for d, v in kept.items():
+            params = {**base_params, "tau_over_T": v}
+            losses[d].append(eval_fn(params, seeds["data"] + r).nmse_test)
+    rows = []
+    for d, v in kept.items():
+        arr = np.array(losses[d])
+        rows.append(SweepRow(v, d, float(arr.mean()), float(arr.std()),
                              repeats))
     return rows
 
@@ -342,27 +345,17 @@ def _trial_record(t: Trial) -> dict:
 
 def save_study(study: Study, path):
     """Line-delimited persistence: one header record, then one trial per
-    line in trial-id order. The file is written to a temporary file in the
-    same directory and renamed over path, so a crash leaves either the old
-    file or the new one."""
-    folder = os.path.dirname(os.path.abspath(path))
-    os.makedirs(folder, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(_json({"record": "header",
-                            "format_version": _FORMAT_VERSION,
-                            "space": study.space.as_dict(),
-                            "objective": study.objective,
-                            "sampler_seed": study.sampler_seed}) + "\n")
-            for t in study.trials:
-                fh.write(_json(_trial_record(t)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # left behind only when writing failed
-            os.unlink(tmp)
+    line in trial-id order. Written through write_atomic, so a crash
+    leaves either the old file or the new one."""
+    def fill(fh):
+        fh.write(_json({"record": "header",
+                        "format_version": _FORMAT_VERSION,
+                        "space": study.space.as_dict(),
+                        "objective": study.objective,
+                        "sampler_seed": study.sampler_seed}) + "\n")
+        for t in study.trials:
+            fh.write(_json(_trial_record(t)) + "\n")
+    write_atomic(path, fill)
 
 
 def _append_trial(path, t: Trial):

@@ -208,6 +208,18 @@ def test_non_finite_value_exits_2(run_cli, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("duration, dt", [
+    ("1e12", "0.01"),      # a 728 TiB request if sized as asked
+    ("1e300", "1e-300"),   # duration/dt overflows to inf
+])
+def test_dde_step_count_is_bounded(run_cli, duration, dt):
+    code, _, err, outdir = run_cli(["dynamics", "dde"] + DDE + [
+        f"dde.duration={duration}", f"dde.dt={dt}"])
+    assert code == 2
+    assert "steps" in err
+    assert not (outdir / "dde_trace.csv").exists()
+
+
 def test_mismatched_config_command_exits_2(run_cli, tmp_path):
     code, _, _, outdir = run_cli(["run"] + FAST_SS)
     assert code == 0

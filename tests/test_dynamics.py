@@ -1,11 +1,15 @@
 """Single-oscillator map, fixed points, regimes and the DDE loop model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delayrc import dynamics
 from delayrc.dynamics import (
     BifurcationRow,
+    FixedPoint,
     OscillatorParams,
     bifurcation_sweep,
     classify_regime,
@@ -207,7 +211,142 @@ def test_fixed_points_n_bounds():
         fixed_points_of_iterate(P_STABLE, 17)
 
 
+# Oracles: the per-cell bracketing loop and the iterate loop as they were
+# before the bracketing was vectorized and the loop lookups hoisted. The
+# vectorized code must reproduce them bit for bit.
+
+def _cell_loop_roots(xs, fs, refine):
+    roots = []
+    for i in range(len(xs) - 1):
+        fa, fb = fs[i], fs[i + 1]
+        if fa == 0.0:
+            roots.append(xs[i])
+        elif (fa < 0) != (fb < 0):
+            roots.append(refine(xs[i], xs[i + 1], fa, fb))
+    if fs[-1] == 0.0:
+        roots.append(xs[-1])
+    return roots
+
+
+def _cell_loop_fixed_points(p, N):
+    xs = np.linspace(-0.1, p.G + 0.1, dynamics._GRID_CELLS + 1)
+    fs = iterate_n(xs, N, p) - xs
+
+    def f(x):
+        return float(iterate_n(x, N, p) - x)
+
+    roots = _cell_loop_roots(
+        xs, fs, lambda a, b, fa, fb: dynamics._bisect(f, a, b, fa, fb))
+    out = []
+    for r in sorted(roots):
+        if out and abs(r - out[-1].x_star) < 1e-9:
+            continue
+        period = N
+        for q in range(1, N):
+            if (N % q == 0 and abs(float(iterate_n(r, q, p)) - r)
+                    < dynamics._PERIOD_TOL):
+                period = q
+                break
+        mult = dynamics._orbit_multiplier(r, period, p)
+        marginal = abs(mult - 1.0) < 1e-9
+        out.append(FixedPoint(
+            x_star=float(r), period=period,
+            stable=bool(mult < 1.0 and not marginal),
+            multiplier=float(mult), marginal=marginal))
+    return out
+
+
+def _unhoisted_iterate(x0, n, p):
+    out = np.empty(n + 1)
+    out[0] = x0
+    x = float(x0)
+    for i in range(1, n + 1):
+        x = 0.5 * p.G * (1.0 + p.M * math.sin(math.pi * (x + p.x_b)))
+        out[i] = x
+    return out
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _roots_bits(roots):
+    # a root on the grid is one float, a cell to bisect a tuple
+    return [tuple(_bits(r)) if isinstance(r, tuple) else float(r).hex()
+            for r in roots]
+
+
+def _bracket_roots(xs, fs):
+    return [a if fa == 0.0 else (a, b, fa, fb)
+            for a, b, fa, fb in dynamics._root_brackets(xs, fs)]
+
+
+def _fp_bits(fps):
+    return [(fp.x_star.hex(), fp.period, fp.stable, fp.multiplier.hex(),
+             fp.marginal) for fp in fps]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("fs", [
+    [0.0, 1.0, -1.0, 2.0],             # zero at the first point
+    [1.0, 0.0, -1.0, 2.0, 3.0],        # zero in the middle
+    [1.0, -1.0, 2.0, 0.0],             # zero at the last point
+    [1.0, 0.0, 0.0, -1.0, 0.0, 0.0],   # zeros side by side, and at the end
+    [0.0, -1.0, -2.0, 1.0],            # a zero followed by a negative value
+    [2.0, -0.0, -1.0, 0.5],            # negative zero
+    [0.0, 0.0, 0.0],
+    [1.0, 2.0, 3.0],
+    [1.0, NAN, -1.0, 2.0],
+])
+def test_root_brackets_match_cell_loop(fs):
+    fs = np.array(fs)
+    xs = np.linspace(-0.1, 1.1, fs.size)
+    assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
+        _cell_loop_roots(xs, fs, lambda *cell: cell))
+
+
+def test_root_brackets_match_cell_loop_on_random_signs():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        fs = rng.choice([-1.5, -0.0, 0.0, 0.5], size=int(rng.integers(2, 40)))
+        xs = np.sort(rng.uniform(-1.0, 1.0, fs.size))
+        assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
+            _cell_loop_roots(xs, fs, lambda *cell: cell))
+
+
+@pytest.mark.parametrize("G", np.linspace(0.1, 1.6, 11).tolist())
+def test_fixed_points_match_cell_loop_bitwise(G):
+    for x_b in (0.0, 0.3):
+        p = osc(G, x_b=x_b)
+        for N in range(1, 9):
+            assert _fp_bits(fixed_points_of_iterate(p, N)) == _fp_bits(
+                _cell_loop_fixed_points(p, N))
+
+
+def test_iterate_matches_unhoisted_loop_bitwise():
+    for p in (P_STABLE, P_PERIOD2, P_CHAOS, osc(1.2, M=0.5, x_b=-0.37)):
+        assert _bits(iterate(0.1, 3000, p)) == _bits(
+            _unhoisted_iterate(0.1, 3000, p))
+
+
 # ------------------------------------------------------------ bifurcation
+
+def test_bifurcation_rows_match_cell_loop(monkeypatch):
+    args = ("G", (0.1, 1.6), 7, osc(1.0))
+    kw = dict(N_max=8, transient=2000, orbit_samples=16)
+    rows = bifurcation_sweep(*args, **kw)
+    monkeypatch.setattr(dynamics, "fixed_points_of_iterate",
+                        _cell_loop_fixed_points)
+    monkeypatch.setattr(dynamics, "iterate", _unhoisted_iterate)
+    oracle = bifurcation_sweep(*args, **kw)
+    assert len(rows) == len(oracle) == 7
+    for r, o in zip(rows, oracle):
+        assert r.axis_value == o.axis_value
+        assert _fp_bits(r.fixed_points) == _fp_bits(o.fixed_points)
+        assert _bits(r.orbit) == _bits(o.orbit)
+
 
 def test_bifurcation_sweep_rows():
     rows = bifurcation_sweep("G", (0.3, 1.49), 25, osc(1.0), N_max=4,

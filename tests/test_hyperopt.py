@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from delayrc import hyperopt
+from delayrc import hyperopt, pipeline, tasks
 from delayrc.exceptions import ConfigurationError
 from delayrc.hyperopt import (
     SearchSpace,
@@ -295,6 +295,31 @@ def test_resonance_sweep_rows():
         assert r.repeats == 2
         assert np.isfinite(r.nmse_mean)
         assert r.nmse_std >= 0
+
+
+def test_resonance_sweep_builds_each_series_once(monkeypatch):
+    calls = []
+    real = tasks.gen_narma10
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "gen_narma10", counting)
+    base = dict(rho=0.9, G=0.56, Phi0=0.2, lam=1e-6)
+    opts = {"length": 600, "washout": 20}
+    grid = (0.5, 1.0, 1.5, 2.0)
+    rows = resonance_sweep("narma10", base, grid, repeats=3, task_options=opts)
+    assert calls == [0, 1, 2]
+    # the numbers of evaluating each grid value over its seeds in turn
+    eval_fn = pipeline.make_eval("narma10", options=opts)
+    assert [r.tau_over_T for r in rows] == list(grid)
+    for row in rows:
+        losses = np.array([
+            eval_fn({**base, "tau_over_T": row.tau_over_T}, r).nmse_test
+            for r in range(3)])
+        assert row.nmse_mean == float(losses.mean())
+        assert row.nmse_std == float(losses.std())
 
 
 def test_resonance_sweep_collapses_colliding_ratios():
