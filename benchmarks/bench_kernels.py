@@ -14,8 +14,10 @@ faster than the loop: the crossover _SCALAR_BELOW is set from.
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
 iterate behind each orbit, and a 31-value sweep over the CLI's default
-range (G over [0.1, 1.6]), also given per axis value. Run it with
-PYTHONPATH pointing at another checkout's src to time that version.
+range (G over [0.1, 1.6]), also given per axis value and split into the
+grid images, bisection, period check and orbits. It also times a
+2,000,000-step integrate_dde call. Run it with PYTHONPATH pointing at
+another checkout's src to time that version.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
   S is recursion, dynamics or all (default).
@@ -63,10 +65,60 @@ def best_ms(fn, *args, repeats=5):
     return best * 1e3
 
 
+# dynamics function -> the sweep stage its calls belong to. Versions of the
+# module differ in which of these exist: older ones map the grid and check
+# periods through iterate_n, whose calls are told apart by their argument
+# (an array is the grid, a scalar a period check). Missing names are skipped.
+SWEEP_STAGES = {
+    "_grid_image": "grid",
+    "_bisect": "bisection",
+    "_iterate_n_float": "period check",
+    "iterate_n": lambda x, *_: "grid" if np.ndim(x) else "period check",
+    "iterate": "orbit",
+}
+
+
+def split_sweep(sweep):
+    """Run sweep() once with SWEEP_STAGES wrapped; return (total ms,
+    {stage: ms}). A call made inside another wrapped call counts toward the
+    outer one, so bisection includes the maps it evaluates."""
+    ms = dict.fromkeys(("grid", "bisection", "period check", "orbit"), 0.0)
+    depth = [0]
+
+    def wrap(fn, stage):
+        def timed(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                name = stage(*args) if callable(stage) else stage
+                ms[name] += (time.perf_counter() - t0) * 1e3
+                depth[0] -= 1
+        return timed
+
+    saved = {n: getattr(dynamics, n) for n in SWEEP_STAGES
+             if hasattr(dynamics, n)}
+    try:
+        for name, fn in saved.items():
+            setattr(dynamics, name, wrap(fn, SWEEP_STAGES[name]))
+        t0 = time.perf_counter()
+        sweep()
+        total = (time.perf_counter() - t0) * 1e3
+    finally:
+        for name, fn in saved.items():
+            setattr(dynamics, name, fn)
+    return total, ms
+
+
 def bench_dynamics():
     gains = (0.56, 0.93, 1.2, 1.49)
     print(f"fixed_points_of_iterate, {dynamics._GRID_CELLS} grid cells, "
-          "best of 5, ms per call (roots found)")
+          "best of 5, ms per call (roots found); where the module keeps the "
+          "grid images of the last parameters, only the first call maps "
+          "the grid")
     print(f"{'G':>6} " + " ".join(f"{f'N={N}':>13}" for N in range(1, 9)))
     for G in gains:
         p = dynamics.OscillatorParams(G=G)
@@ -82,10 +134,29 @@ def bench_dynamics():
         print(f"  G={G}: {t:.2f} ms")
 
     steps = 31
-    t = best_ms(dynamics.bifurcation_sweep, "G", (0.1, 1.6), steps,
-                dynamics.OscillatorParams(G=0.56), repeats=3)
+    args = ("G", (0.1, 1.6), steps, dynamics.OscillatorParams(G=0.56))
+    t = best_ms(dynamics.bifurcation_sweep, *args, repeats=3)
     print(f"\nbifurcation_sweep G over [0.1, 1.6], {steps} axis values, "
           f"N_max 8, best of 3: {t:.1f} ms, {t / steps:.1f} ms per value")
+    total, ms = split_sweep(lambda: dynamics.bifurcation_sweep(*args))
+    print(f"one more sweep, split by stage (wrapped, {total:.1f} ms): "
+          + ", ".join(f"{k} {v:.1f}" for k, v in ms.items())
+          + f", other {total - sum(ms.values()):.1f} ms")
+
+    n = 2_000_000
+    p = dynamics.OscillatorParams(G=0.56, P_max=0.3e-3, G_star=0.56 / 0.3e-3,
+                                  T_R=0.01)
+    args = (p, lambda _t: 0.1, n * 1e-3, 1e-3)
+    t = best_ms(dynamics.integrate_dde, *args, repeats=3)
+    euler = dynamics._backend.dde_euler
+    try:   # the same call with the Euler stepping left out
+        dynamics._backend.dde_euler = lambda n_steps, *_: np.zeros(n_steps + 1)
+        t_pre = best_ms(dynamics.integrate_dde, *args, repeats=3)
+    finally:
+        dynamics._backend.dde_euler = euler
+    print(f"\nintegrate_dde, {n:,} steps of 1e-3 (tau 1, T_R 0.01), best "
+          f"of 3: {t:.0f} ms; without the Euler stepping (history pre-fill "
+          f"and checks): {t_pre:.1f} ms")
 
 
 def bench_recursion(n):

@@ -14,6 +14,7 @@ discrete limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -103,10 +104,18 @@ def map_derivative(x, p: OscillatorParams):
     return 0.5 * p.G * p.M * np.pi * np.cos(np.pi * (x + p.x_b))
 
 
+# the longest orbit, and the most orbit samples in a diagram: 80 MB of doubles
+_MAP_MAX_SAMPLES = 10_000_000
+
+
 def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
-    """Trajectory [x0, x1, ..., xn] of length n + 1."""
+    """Trajectory [x0, x1, ..., xn] of length n + 1; n is at most
+    _MAP_MAX_SAMPLES."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
+    if n > _MAP_MAX_SAMPLES:
+        raise ConfigurationError(
+            f"n asks for {n:,} steps, more than {_MAP_MAX_SAMPLES:,}")
     out = np.empty(n + 1)
     out[0] = x0
     x = float(x0)
@@ -125,6 +134,15 @@ def iterate_n(x, N: int, p: OscillatorParams):
     for _ in range(N):
         y = step_map(y, p)
     return y
+
+
+def _iterate_n_float(x: float, N: int, p: OscillatorParams) -> float:
+    """iterate_n for one Python float, in the same operations (math.sin
+    must round like np.sin for the two to agree bitwise)."""
+    half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
+    for _ in range(N):
+        x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+    return x
 
 
 def cobweb(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
@@ -165,7 +183,7 @@ def _bisect(f, a, b, fa, fb):
 
 def _root_brackets(xs, fs):
     """Cells of the grid (xs, fs) that hold a root of f, in ascending order,
-    as (a, b, fa, fb).
+    as (a, b, fa, fb) of Python floats.
 
     Cell i spans [xs[i], xs[i+1]]. A zero at its left end is a root on the
     grid: the cell comes back with fa == 0 and is not searched further.
@@ -174,10 +192,36 @@ def _root_brackets(xs, fs):
     """
     left = fs[:-1]
     cells = np.flatnonzero((left == 0.0) | ((left < 0) != (fs[1:] < 0)))
-    out = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in cells.tolist()]
+    out = list(zip(xs[cells].tolist(), xs[cells + 1].tolist(),
+                   fs[cells].tolist(), fs[cells + 1].tolist()))
     if fs[-1] == 0.0:
-        out.append((xs[-1], xs[-1], fs[-1], fs[-1]))
+        a, fa = float(xs[-1]), float(fs[-1])
+        out.append((a, a, fa, fa))
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_images(p: OscillatorParams) -> dict:
+    """{0: xs}, the bracketing grid of p, to which _grid_image adds f^N(xs)
+    under N. One entry: a sweep asks for N = 1..N_max at one axis value
+    before it moves on. Parameters that compare equal differ at most in the
+    sign of a zero x_b, which leaves every image unchanged."""
+    xs = np.linspace(-0.1, p.G + 0.1, _GRID_CELLS + 1)
+    xs.setflags(write=False)
+    return {0: xs}
+
+
+def _grid_image(p: OscillatorParams, N: int):
+    """(xs, f^N(xs)) on the bracketing grid, both read-only and shared by
+    every call with p. f^N(xs) is step_map applied to f^(N-1)(xs), the
+    operations iterate_n(xs, N, p) performs, so it is bitwise the same."""
+    images = _grid_images(p)
+    for n in range(1, N + 1):
+        if n not in images:
+            y = step_map(images[n - 1], p)
+            y.setflags(write=False)
+            images.setdefault(n, y)
+    return images[0], images[N]
 
 
 def _orbit_multiplier(x_star, period, p):
@@ -193,23 +237,26 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
     """All period points of the N-th iterate on [0, G], with stability.
 
     Roots of iterate_n(x, N) - x are bracketed on a uniform grid of
-    _GRID_CELLS cells: one vectorized pass over the grid values finds the
+    _GRID_CELLS cells. The grid images f^N(xs) come from _grid_image, which
+    keeps those of the last p, so the calls for N = 1..N_max at one p map
+    the grid once per N. One vectorized pass over the grid values finds the
     exact zeros and sign changes, and only those cells are refined, each by
-    scalar bisection. Each root is assigned the smallest period dividing N
-    that it actually satisfies, and the orbit multiplier prod |f'(x_i)|
-    decides stability (strict: multiplier < 1).
+    scalar bisection on Python floats (_iterate_n_float). Each root is
+    assigned the smallest period dividing N that it actually satisfies, and
+    the orbit multiplier prod |f'(x_i)| decides stability (strict:
+    multiplier < 1). The result is bitwise what evaluating every f^N
+    through iterate_n gives, provided math.sin rounds like np.sin (the
+    tests check this).
     """
     if not 1 <= N <= 16:
         raise ConfigurationError(f"N must be in [1, 16], got {N}")
-    lo, hi = -0.1, p.G + 0.1
-    xs = np.linspace(lo, hi, _GRID_CELLS + 1)
-    fs = iterate_n(xs, N, p) - xs
+    xs, ys = _grid_image(p, N)
 
     def f(x):
-        return float(iterate_n(x, N, p) - x)
+        return _iterate_n_float(x, N, p) - x
 
     roots = [a if fa == 0.0 else _bisect(f, a, b, fa, fb)
-             for a, b, fa, fb in _root_brackets(xs, fs)]
+             for a, b, fa, fb in _root_brackets(xs, ys - xs)]
 
     out = []
     for r in sorted(roots):
@@ -217,7 +264,7 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
             continue
         period = N
         for q in range(1, N):
-            if N % q == 0 and abs(float(iterate_n(r, q, p)) - r) < _PERIOD_TOL:
+            if N % q == 0 and abs(_iterate_n_float(r, q, p) - r) < _PERIOD_TOL:
                 period = q
                 break
         mult = _orbit_multiplier(r, period, p)
@@ -251,11 +298,18 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
                       N_max: int = 8, transient: int = 10_000,
                       orbit_samples: int = 128) -> list[BifurcationRow]:
     """Orbit-diagram data: per axis value, period points up to N_max plus
-    the asymptotic orbit tail after a long transient."""
+    the asymptotic orbit tail after a long transient. The diagram holds
+    steps*orbit_samples orbit samples, at most _MAP_MAX_SAMPLES."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
+    if orbit_samples < 1:
+        raise ConfigurationError(f"orbit_samples must be >= 1, got {orbit_samples}")
+    if steps * orbit_samples > _MAP_MAX_SAMPLES:
+        raise ConfigurationError(
+            f"steps*orbit_samples asks for {steps * orbit_samples:,} orbit "
+            f"samples, more than {_MAP_MAX_SAMPLES:,}")
     a, b = float(axis_range[0]), float(axis_range[1])
     if not b > a:
         raise ConfigurationError(f"axis range must have positive width, got [{a}, {b}]")
@@ -341,8 +395,9 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     pre = np.zeros(n_steps + 1)
     for j in range(1, n_steps + 1):
         jj = (j - shift) - q
-        if jj < 0.0:
-            pre[j] = float(history(jj * dt))
+        if jj >= 0.0:
+            break   # jj grows with j: no later step looks back before t=0
+        pre[j] = float(history(jj * dt))
     V0 = float(history(0.0))
     if not (math.isfinite(V0) and np.all(np.isfinite(pre))):
         raise ConfigurationError("history must be finite on [-tau, 0]")

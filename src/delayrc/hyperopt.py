@@ -10,6 +10,8 @@ resumable without drift.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import logging
 import math
@@ -239,7 +241,10 @@ def run_study(task: str, template: dict | None = None,
     come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
     data seed is held fixed so the surrogate sees a noiseless objective.
     If path exists the study found there is continued up to the requested
-    budget (deterministically identical to an uninterrupted run).
+    budget (deterministically identical to an uninterrupted run). While it
+    runs, the study holds a lock on the directory of path, and a second
+    study on that directory raises ConfigurationError instead of
+    interleaving its appends.
     """
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
@@ -258,23 +263,53 @@ def run_study(task: str, template: dict | None = None,
                   "task_options": dict(task_options or {})}
     # canonicalize through JSON so tuples compare equal after a reload
     descriptor = json.loads(_json(descriptor))
-    if path is not None and os.path.exists(path):
-        study = load_study(path)
-        if study.objective != descriptor or study.space != space:
+    with _locked_study(path):
+        if path is not None and os.path.exists(path):
+            study = load_study(path)
+            if study.objective != descriptor or study.space != space:
+                raise ConfigurationError(
+                    f"existing study at {path} was run with a different setup")
+            if _torn(path):
+                # load_study dropped the torn line; rewrite before appending
+                save_study(study, path)
+        else:
+            study = Study(space=space, objective=descriptor,
+                          sampler_seed=seeds["sampler"])
+            if path is not None:
+                save_study(study, path)
+        return _search(
+            study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
+            budget, sampler, width=width, record_timing=record_timing,
+            path=path, n_startup=n_startup, gamma=gamma,
+            n_candidates=n_candidates)
+
+
+@contextlib.contextmanager
+def _locked_study(path):
+    """Hold an exclusive lock for the study file at path (None: no lock),
+    or raise ConfigurationError at once if another process holds it.
+
+    The lock is a flock on the file's directory, not on the file:
+    save_study replaces the file, and a lock on the old inode would not
+    exclude a writer that opens the new one. Locking writes nothing, so
+    the directory's contents stay as they are.
+    """
+    if path is None:
+        yield
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
             raise ConfigurationError(
-                f"existing study at {path} was run with a different setup")
-        if _torn(path):
-            # load_study dropped the torn line; rewrite before appending
-            save_study(study, path)
-    else:
-        study = Study(space=space, objective=descriptor,
-                      sampler_seed=seeds["sampler"])
-        if path is not None:
-            save_study(study, path)
-    return _search(study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
-                   budget, sampler, width=width, record_timing=record_timing,
-                   path=path, n_startup=n_startup, gamma=gamma,
-                   n_candidates=n_candidates)
+                f"study {path} is in use: another study holds the lock on "
+                f"{folder}") from None
+        yield
+    finally:
+        os.close(fd)   # releases the lock
 
 
 @dataclass(frozen=True)

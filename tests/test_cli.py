@@ -1,5 +1,8 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
+import fcntl
+import os
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,41 @@ def test_dde_step_count_is_bounded(run_cli, duration, dt):
     assert code == 2
     assert "steps" in err
     assert not (outdir / "dde_trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["dynamics", "cobweb", "dynamics.n=1000000000000"], "cobweb.csv"),
+    (["dynamics", "bifurcation", "dynamics.steps=1000000000000"],
+     "bifurcation.csv"),
+])
+def test_map_size_is_bounded(run_cli, argv, artifact):
+    # sized as asked, either would need terabytes
+    code, _, err, outdir = run_cli(argv)
+    assert code == 2
+    assert "more than" in err
+    assert not (outdir / artifact).exists()
+
+
+def test_optimize_refuses_a_locked_study(run_cli):
+    args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
+    code, _, _, outdir = run_cli(args)
+    assert code == 0
+    before = hash_tree(outdir)
+    fd = os.open(outdir, os.O_RDONLY)   # as a running optimize holds it
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, _, err, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
+    finally:
+        os.close(fd)
+    assert code == 2
+    assert "in use" in err
+    after = hash_tree(outdir)
+    assert sorted(after) == sorted(before)   # no lock file left behind
+    for name in ("study.jsonl", "best.cfg"):
+        assert after[name] == before[name]
+    code, _, _, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
+    assert code == 0
+    assert len((outdir / "study.jsonl").read_text().splitlines()) == 1 + 3
 
 
 def test_mismatched_config_command_exits_2(run_cli, tmp_path):

@@ -211,9 +211,11 @@ def test_fixed_points_n_bounds():
         fixed_points_of_iterate(P_STABLE, 17)
 
 
-# Oracles: the per-cell bracketing loop and the iterate loop as they were
-# before the bracketing was vectorized and the loop lookups hoisted. The
-# vectorized code must reproduce them bit for bit.
+# Oracles: the per-cell bracketing loop, the fixed-point search that maps
+# the grid from scratch for every N and bisects through iterate_n on numpy
+# scalars, and the iterate loop, as they were before the bracketing was
+# vectorized, the grid images reused and the scalar maps moved to Python
+# floats. The new code must reproduce them bit for bit.
 
 def _cell_loop_roots(xs, fs, refine):
     roots = []
@@ -318,11 +320,44 @@ def test_root_brackets_match_cell_loop_on_random_signs():
 
 @pytest.mark.parametrize("G", np.linspace(0.1, 1.6, 11).tolist())
 def test_fixed_points_match_cell_loop_bitwise(G):
-    for x_b in (0.0, 0.3):
-        p = osc(G, x_b=x_b)
+    for M, x_b in ((0.983, 0.0), (0.983, 0.3), (0.7, -0.45)):
+        p = osc(G, M=M, x_b=x_b)
         for N in range(1, 9):
             assert _fp_bits(fixed_points_of_iterate(p, N)) == _fp_bits(
                 _cell_loop_fixed_points(p, N))
+
+
+@pytest.mark.parametrize("p", [osc(0.93, M=0.7, x_b=0.37),
+                               osc(1.49, M=0.9, x_b=-0.21), osc(1.6, x_b=0.5)])
+def test_iterate_n_float_matches_iterate_n_bitwise(p):
+    # bisection used to evaluate f^N through iterate_n on numpy scalars and
+    # the grid evaluates it on arrays; the Python-float map must agree with
+    # both, which holds when math.sin rounds like np.sin
+    xs = np.random.default_rng(1).uniform(-0.1, p.G + 0.1, 300)
+    for N in range(1, 17):
+        got = [dynamics._iterate_n_float(x, N, p) for x in xs.tolist()]
+        assert _bits(got) == _bits(iterate_n(x, N, p) for x in xs)
+        assert _bits(got) == _bits(iterate_n(xs, N, p))
+
+
+def test_grid_images_keep_the_last_parameters_only():
+    p1, p2 = osc(0.93), osc(1.2, M=0.7, x_b=0.3)
+    xs1, y1 = dynamics._grid_image(p1, 3)
+    assert dynamics._grid_image(p1, 3)[1] is y1
+    assert dynamics._grid_image(p1, 2)[0] is xs1
+    xs2, y2 = dynamics._grid_image(p2, 5)
+    assert dynamics._grid_images.cache_info().currsize == 1
+    assert dynamics._grid_image(p1, 3)[1] is not y1   # p2 replaced p1
+    for a in (xs1, y1, xs2, y2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for p in (p1, p2):
+        xs = np.linspace(-0.1, p.G + 0.1, dynamics._GRID_CELLS + 1)
+        for N in (4, 1, 8, 2):   # out of order: cached and fresh images
+            got_xs, got = dynamics._grid_image(p, N)
+            assert got_xs.tobytes() == xs.tobytes()
+            assert got.tobytes() == iterate_n(xs, N, p).tobytes()
 
 
 def test_iterate_matches_unhoisted_loop_bitwise():
@@ -334,18 +369,34 @@ def test_iterate_matches_unhoisted_loop_bitwise():
 # ------------------------------------------------------------ bifurcation
 
 def test_bifurcation_rows_match_cell_loop(monkeypatch):
-    args = ("G", (0.1, 1.6), 7, osc(1.0))
+    sweeps = [("G", (0.1, 1.6), 7, osc(1.0)),
+              ("x_b", (0.0, 1.0), 5, osc(1.3, M=0.7)),
+              ("P_max", (2e-4, 1.5e-3), 4,
+               osc(1.0, M=0.9, x_b=0.2, G_star=1000.0))]
     kw = dict(N_max=8, transient=2000, orbit_samples=16)
-    rows = bifurcation_sweep(*args, **kw)
+    rows = [bifurcation_sweep(*args, **kw) for args in sweeps]
     monkeypatch.setattr(dynamics, "fixed_points_of_iterate",
                         _cell_loop_fixed_points)
     monkeypatch.setattr(dynamics, "iterate", _unhoisted_iterate)
-    oracle = bifurcation_sweep(*args, **kw)
-    assert len(rows) == len(oracle) == 7
-    for r, o in zip(rows, oracle):
-        assert r.axis_value == o.axis_value
-        assert _fp_bits(r.fixed_points) == _fp_bits(o.fixed_points)
-        assert _bits(r.orbit) == _bits(o.orbit)
+    for args, got in zip(sweeps, rows):
+        oracle = bifurcation_sweep(*args, **kw)
+        assert len(got) == len(oracle) == args[2]
+        for r, o in zip(got, oracle):
+            assert r.axis_value == o.axis_value
+            assert _fp_bits(r.fixed_points) == _fp_bits(o.fixed_points)
+            assert _bits(r.orbit) == _bits(o.orbit)
+
+
+def test_map_sizes_are_bounded():
+    big = dynamics._MAP_MAX_SAMPLES + 1
+    with pytest.raises(ConfigurationError, match="steps"):
+        iterate(0.1, big, P_STABLE)
+    with pytest.raises(ConfigurationError, match="steps"):
+        cobweb(0.1, big, P_STABLE)
+    with pytest.raises(ConfigurationError, match="orbit samples"):
+        bifurcation_sweep("G", (0.1, 1.6), big // 128 + 1, P_STABLE)
+    with pytest.raises(ConfigurationError, match="orbit_samples"):
+        bifurcation_sweep("G", (0.1, 1.6), 3, P_STABLE, orbit_samples=0)
 
 
 def test_bifurcation_sweep_rows():
@@ -430,6 +481,40 @@ def test_dde_slow_filter_damps_alternation():
     t2, V_slow = integrate_dde(p_slow, lambda t: 0.1, 60.0, 0.01)
     assert np.ptp(V_fast[-2000:]) > 0.2
     assert np.ptp(V_slow[-2000:]) < 0.05
+
+
+def _prefill_full_loop(p, history, duration, dt):
+    # the history pre-fill as it was: every step visited
+    n_steps = int(round(duration / dt))
+    q = p.tau / dt
+    shift = 1 if p.T_R > 0 else 0
+    pre = np.zeros(n_steps + 1)
+    for j in range(1, n_steps + 1):
+        jj = (j - shift) - q
+        if jj < 0.0:
+            pre[j] = float(history(jj * dt))
+    return pre
+
+
+@pytest.mark.parametrize("T_R, dt", [
+    (0.0, 0.01),     # q = tau/dt = 100
+    (0.0, 0.003),    # q = 333.33...
+    (0.05, 0.003),   # with the one-step shift of the filtered model
+])
+def test_dde_prefill_matches_full_loop(monkeypatch, T_R, dt):
+    p = _phys(0.93, T_R)
+    seen = []
+    euler = dynamics._backend.dde_euler
+
+    def spy(*args):
+        seen.append(args[8].copy())
+        return euler(*args)
+    monkeypatch.setattr(dynamics._backend, "dde_euler", spy)
+
+    def history(t):
+        return 0.1 + 0.3 * math.sin(7.0 * t)
+    integrate_dde(p, history, 4.0, dt)
+    assert seen[0].tobytes() == _prefill_full_loop(p, history, 4.0, dt).tobytes()
 
 
 def test_dde_step_size_validation():

@@ -1,7 +1,10 @@
 """Search space, samplers, study persistence, delay sweep."""
 
+import fcntl
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,6 +251,53 @@ def test_run_study_resumes_torn_file(tmp_path):
     resumed = run_study(path=path, budget=4, **kw)
     assert len(resumed.trials) == 4
     assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+
+def _locked_elsewhere(folder):
+    """True if another open file description holds the lock on folder."""
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return False
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+
+
+def test_run_study_refuses_a_locked_directory(tmp_path):
+    path = tmp_path / "study.jsonl"
+    kw = dict(task="sine_square", n_startup=2,
+              task_options={"n_waveforms": 4, "periods_per_waveform": 8,
+                            "washout": 2})
+    run_study(path=path, budget=2, **kw)
+    whole = path.read_bytes()
+    fd = os.open(tmp_path, os.O_RDONLY)   # a second open file description
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(ConfigurationError, match="in use"):
+            run_study(path=path, budget=3, **kw)
+        assert run_study(path=None, budget=1, **kw).trials   # no file, no lock
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == whole
+    assert [p.name for p in tmp_path.iterdir()] == ["study.jsonl"]
+    assert len(run_study(path=path, budget=3, **kw).trials) == 3
+
+
+def test_run_study_holds_the_lock_while_it_runs(tmp_path, monkeypatch):
+    held = []
+
+    def make_eval(*args, **kwargs):
+        def eval_fn(params, seed):
+            held.append(_locked_elsewhere(tmp_path))
+            return SimpleNamespace(nmse_test=quad_objective(params))
+        return eval_fn
+    monkeypatch.setattr(pipeline, "make_eval", make_eval)
+    run_study("sine_square", budget=2, sampler="random",
+              path=tmp_path / "study.jsonl")
+    assert held == [True, True]
+    assert not _locked_elsewhere(tmp_path)   # released when it ends
 
 
 def test_run_study_rejects_mismatched_resume(tmp_path):
