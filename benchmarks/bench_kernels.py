@@ -4,12 +4,20 @@
 The reservoir update is an inherently sequential recursion (each sample
 feeds back d steps later). The numpy path has two strategies: a per-sample
 loop on Python floats, and a block recursion that advances d samples per
-round of numpy calls. evolve_samples_numpy runs the loop for
-d < _kernels._SCALAR_BELOW and the block recursion otherwise; the numba
+round of numpy calls. Both take the held input u and the mask and form the
+masked input chunk by chunk; u may hold rows of streams, which then run in
+lockstep. evolve_samples_numpy runs the loop for d below
+_kernels.scalar_below(rows) and the block recursion otherwise; the numba
 kernel compiles the plain loop. All of them produce bitwise-identical
-streams. This script times each strategy at several delays, checks that
-they agree, and scans d for the delay from which the block recursion is
-faster than the loop: the crossover _SCALAR_BELOW is set from.
+streams. The recursion section times each strategy on one stream at
+several delays, checks that they agree, and scans d for the delay from
+which the block recursion is faster than the loop: the crossover the
+first entry of _SCALAR_BELOW is set from.
+
+The lockstep section times R rows driven together against the same R
+rows one at a time, per row, for R = 1..5, and scans d for the crossover
+at each R: the entries of _SCALAR_BELOW. It also prints how many rows of
+the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -20,7 +28,8 @@ grid images, bisection, period check and orbits. It also times a
 another checkout's src to time that version.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
-  S is recursion, dynamics or all (default).
+  S is recursion, lockstep, dynamics or all (default). n_samples is per
+  stream (default 400,000).
 """
 
 import argparse
@@ -28,9 +37,18 @@ import time
 
 import numpy as np
 
-from delayrc import _kernels, dynamics
+from delayrc import _kernels, dynamics, hyperopt, tasks
 
 PARAMS = (0.9, 0.983, 0.85, 0.9, 0.63)   # G, M, beta, rho, Phi0
+K = 50                                   # samples per cycle
+
+
+def held_input(rows, n, seed=0):
+    """HeldInput of rows x (n // K) cycles (1-d for rows=None)."""
+    rng = np.random.default_rng(seed)
+    shape = n // K if rows is None else (rows, n // K)
+    return _kernels.HeldInput(rng.uniform(-1.0, 1.0, shape),
+                              rng.uniform(-1.0, 1.0, K))
 
 
 def bench(fn, J, d, history, repeats=3):
@@ -160,17 +178,16 @@ def bench_dynamics():
 
 
 def bench_recursion(n):
-    rng = np.random.default_rng(0)
-    J = rng.uniform(-1.0, 1.0, n)
-    below = _kernels._SCALAR_BELOW
+    J = held_input(None, n)
+    below = _kernels.scalar_below(1)
 
     if _kernels.HAVE_NUMBA:
         # trigger compilation outside the timed region
-        _kernels.evolve_samples_numba(J[:64], 2, *PARAMS, np.zeros(2))
+        _kernels.evolve_samples_numba(np.zeros(64), 2, *PARAMS, np.zeros(2))
     else:
         print("numba not importable; showing the numpy path only")
 
-    print(f"sample recursion, n={n:,} samples, "
+    print(f"sample recursion, n={J.size:,} samples, "
           f"numpy path picks scalar for d < {below}")
     print(f"{'d':>6} {'scalar (ms)':>12} {'block (ms)':>12} {'picked':>7} "
           f"{'numba (ms)':>11}  match")
@@ -181,7 +198,8 @@ def bench_recursion(n):
         same = np.array_equal(out_sc, out_bl)
         nb = "-"
         if _kernels.HAVE_NUMBA:
-            t_nb, out_nb = bench(_kernels.evolve_samples_numba, J, d, history)
+            t_nb, out_nb = bench(_kernels.evolve_samples_compiled, J, d,
+                                 history)
             same = same and np.array_equal(out_sc, out_nb)
             nb = f"{t_nb * 1e3:.1f}"
         picked = "scalar" if d < below else "block"
@@ -213,18 +231,61 @@ def bench_recursion(n):
         print(f"\ndde euler, {dde_n:,} steps: numpy {t_np * 1e3:.1f} ms")
 
 
+def bench_lockstep(n):
+    """R rows in lockstep against the same rows one at a time, and the
+    scalar/block crossover at each R."""
+    rows = (1, 2, 3, 4, 5)
+    print(f"lockstep recursion, {n // K * K:,} samples per row, k={K}, "
+          "best of 3, ms per row (numpy dispatch at each d)")
+    print(f"{'R':>3} {'d':>5} {'lockstep':>9} {'one by one':>11} "
+          f"{'speedup':>8}  match")
+    for R in rows:
+        J = held_input(R, n, seed=R)
+        for d in (12, 25, 50, 100):
+            history = np.zeros(d)
+            t_lock, S = bench(_kernels.evolve_samples_numpy, J, d, history)
+            t_one, same = 0.0, True
+            for u, s in zip(J.u, S):
+                t, s1 = bench(_kernels.evolve_samples_numpy,
+                              _kernels.HeldInput(u, J.mask), d, history)
+                t_one += t
+                same = same and np.array_equal(s, s1)
+            print(f"{R:>3} {d:>5} {t_lock * 1e3 / R:>9.1f} "
+                  f"{t_one * 1e3 / R:>11.1f} {t_one / t_lock:>7.2f}x  "
+                  f"{'bitwise' if same else 'DIFFER'}")
+
+    n_scan = n // 4
+    ds = list(range(8, 49, 2))
+    print(f"\nblock/scalar time ratio by rows, {n_scan // K * K:,} samples "
+          "per row; crossover: first d from which the block recursion is "
+          "faster at every larger d scanned")
+    for R in rows:
+        ratios, cross = crossover(held_input(R, n_scan, seed=R), ds)
+        print(f"R={R}: crossover {cross} (_SCALAR_BELOW "
+              f"{_kernels.scalar_below(R)}); "
+              + " ".join(f"{d}:{r:.2f}" for d, r in zip(ds, ratios)))
+
+    width = max(tasks.gen_sine_square(seed=s).n_steps for s in range(5)) * K + 100
+    print(f"\nhyperopt._LOCKSTEP_BYTES = {hyperopt._LOCKSTEP_BYTES:,} B holds "
+          f"{hyperopt._LOCKSTEP_BYTES // (8 * width)} rows of the default "
+          f"sine_square stream (longest of seeds 0-4, d=100: {width:,} samples)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("n_samples", nargs="?", type=int, default=400_000)
-    ap.add_argument("--section", choices=("recursion", "dynamics", "all"),
+    ap.add_argument("--section",
+                    choices=("recursion", "lockstep", "dynamics", "all"),
                     default="all")
     args = ap.parse_args()
-    if args.section in ("recursion", "all"):
-        bench_recursion(args.n_samples)
-    if args.section in ("dynamics", "all"):
-        if args.section == "all":
+    sections = {"recursion": lambda: bench_recursion(args.n_samples),
+                "lockstep": lambda: bench_lockstep(args.n_samples),
+                "dynamics": bench_dynamics}
+    run = list(sections) if args.section == "all" else [args.section]
+    for i, name in enumerate(run):
+        if i:
             print()
-        bench_dynamics()
+        sections[name]()
 
 
 if __name__ == "__main__":

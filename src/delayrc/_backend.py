@@ -6,11 +6,13 @@ DELAYRC_BACKEND controls which implementation of the hot loops is used:
   numba  - require the compiled kernels, fail if numba is missing
   numpy  - force the pure-numpy kernels
 
-The numpy sample recursion picks one of two strategies by the delay d: a
-per-sample scalar loop for short delays and a block recursion for long
-ones (see _kernels). Both backends produce bitwise-identical results; the
-flag only trades compile latency against throughput. See
-benchmarks/bench_kernels.py.
+evolve_samples(J, d, G, M, beta, rho, Phi0, history, out=None) runs the
+sample recursion of a HeldInput J: one stream, or rows of streams in
+lockstep. The numpy path picks one of two strategies by the delay d and
+the number of rows: a per-sample scalar loop for short delays and a block
+recursion for long ones (see _kernels). Both backends produce
+bitwise-identical results; the flag only trades compile latency against
+throughput. See benchmarks/bench_kernels.py.
 """
 
 import os
@@ -38,7 +40,7 @@ def select_backend() -> str:
     global _ACTIVE, evolve_samples, dde_euler
     _ACTIVE = _select(os.environ.get("DELAYRC_BACKEND", "auto").strip().lower())
     if _ACTIVE == "numba":
-        evolve_samples = _kernels.evolve_samples_numba
+        evolve_samples = _kernels.evolve_samples_compiled
         dde_euler = _kernels.dde_euler_numba
     else:
         evolve_samples = _kernels.evolve_samples_numpy

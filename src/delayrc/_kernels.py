@@ -1,25 +1,65 @@
 """Hot numerical loops, written once and compiled with numba when available.
 
-The sample recursion has a numpy-path twin that produces bitwise-identical
-output. It runs one of two strategies, chosen by the delay d: for d below
-_SCALAR_BELOW a per-sample loop on Python floats, otherwise a block
-recursion in steps of d samples, inside which all dependencies are already
-resolved. The block recursion makes about eight numpy calls per d samples,
-so at short delays their call overhead costs more than the plain loop.
-Backend selection lives in _backend.
+The sample recursion is driven by the masked input J(i + n k) = mask[i] u(n)
+of the held input u. The kernels take J as a HeldInput: u and the mask, not
+their product. u is one stream (1-d) or rows of equally long streams (rows
+x cycles); rows are independent recursions that advance in lockstep, so
+one round of numpy calls serves them all. The numpy path never forms J
+whole: it forms rho*(u*mask), the product rho*J gave, one chunk of whole
+cycles at a time.
+
+Within a chunk the numpy path runs one of two strategies, chosen by the
+delay d and the number of rows: for d below scalar_below(rows) a per-sample
+loop on Python floats, row by row; otherwise a block recursion in steps of
+at most d samples, inside which all dependencies are already resolved. A
+block no longer than d reads only earlier samples, so blocks may restart at
+any chunk boundary. The block recursion makes about eight numpy calls per
+block, so at short delays their call overhead costs more than the plain
+loop, and lockstep rows share that overhead. numba compiles the plain loop
+and runs it row by row on the formed J. All strategies and both backends
+give bitwise-identical samples. Backend selection lives in _backend.
+
+A state that leaves the finite range comes out as nan on every path
+(np.sin(inf) is nan; the scalar loop, where math.sin(inf) raises, fills
+the rest of the row with nan); callers check the samples they keep.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-# d below which evolve_samples_numpy steps sample by sample: the two
-# strategies take equal time near d = 36 (400k samples, numpy 2.4, 2-core
-# x86 host; benchmarks/bench_kernels.py, BENCH_3.json)
-_SCALAR_BELOW = 36
-# samples per chunk of the scalar loop: bounds its Python lists to
-# _CHUNK + d floats whatever the stream length
+# d below which evolve_samples_numpy steps sample by sample, for 1, 2, ...
+# lockstep rows (the last entry holds for more rows): the two strategies
+# take equal time near these delays (numpy 2.4, 2-core x86 host;
+# benchmarks/bench_kernels.py --section lockstep, BENCH_6.json)
+_SCALAR_BELOW = (36, 24, 16, 12, 10)
+# samples per chunk of formed input: bounds the scalar loop's Python lists
+# and the block recursion's rho*J to about _CHUNK + d floats per row
 _CHUNK = 4096
+
+
+class HeldInput(NamedTuple):
+    """The masked input J(i + n k) = mask[i] u(n), kept as its factors."""
+
+    u: np.ndarray      # cycles, or rows x cycles
+    mask: np.ndarray   # k values
+
+    @property
+    def size(self) -> int:
+        """Samples it drives, over all rows."""
+        return self.u.size * self.mask.size
+
+
+def masked(u, mask) -> np.ndarray:
+    """J of held input u (cycles, or rows x cycles): mask[i] u(n) at
+    sample i + n k of each row."""
+    x = u[..., None] * mask
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def scalar_below(rows: int) -> int:
+    return _SCALAR_BELOW[min(rows, len(_SCALAR_BELOW)) - 1]
 
 
 def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
@@ -33,41 +73,83 @@ def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
     return s_ext[d:]
 
 
-def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
-    """The numpy-path sample recursion: the scalar loop for d below
-    _SCALAR_BELOW, the block recursion otherwise."""
-    kernel = evolve_samples_scalar if d < _SCALAR_BELOW else evolve_samples_block
-    return kernel(J, d, G, M, beta, rho, Phi0, history)
+def _extended(J, d, history, out):
+    """The samples s(-d).. of every row, history filled in: a new array,
+    or the leading columns of out (rows x at least n + d)."""
+    shape = J.u.shape[:-1] + (J.u.shape[-1] * J.mask.size + d,)
+    s_ext = np.empty(shape) if out is None else out[..., :shape[-1]]
+    if s_ext.shape != shape:
+        raise ValueError(f"out holds {s_ext.shape}, need {shape}")
+    s_ext[..., :d] = history
+    return s_ext
 
 
-def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history):
-    # per-sample loop over chunks; s holds the d samples carried from the
-    # previous chunk, then this chunk's samples, so s[-d] is s(m - d)
-    n = J.size
-    out = np.empty(n)
+def _rows(a):
+    return a.reshape(-1, a.shape[-1])
+
+
+def _chunks(J, rho):
+    """(first sample, rho*J over it) for consecutive chunks of whole cycles."""
+    k = J.mask.size
+    step = max(1, _CHUNK // k)
+    for c in range(0, J.u.shape[-1], step):
+        yield c * k, rho * masked(J.u[..., c:c + step], J.mask)
+
+
+def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history, out=None):
+    """The numpy-path sample recursion of every row of J: the scalar loop
+    for d below scalar_below(rows), the block recursion otherwise. Returns
+    samples s(0).. (rows x n, or n), a view of out when given."""
+    rows = math.prod(J.u.shape[:-1])
+    kernel = evolve_samples_scalar if d < scalar_below(rows) else evolve_samples_block
+    return kernel(J, d, G, M, beta, rho, Phi0, history, out)
+
+
+def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history, out=None):
+    # per-sample loop over chunks, row by row; s holds the d samples
+    # carried from the previous chunk, then this chunk's samples, so s[-d]
+    # is s(m - d)
+    s_ext = _extended(J, d, history, out)
     half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
     pi, sin = math.pi, math.sin
-    carry = np.asarray(history, dtype=float).tolist()
-    for c in range(0, n, _CHUNK):
-        s = carry
-        for x in (rho * J[c:c + _CHUNK]).tolist():
-            s.append(half_G * (1.0 + M * sin(pi * (beta * s[-d] + x) + Phi0)))
-        out[c:c + len(s) - d] = s[d:]
-        carry = s[-d:]
-    return out
+    for u, row in zip(_rows(J.u), _rows(s_ext)):
+        carry = row[:d].tolist()
+        for c, x in _chunks(HeldInput(u, J.mask), rho):
+            s = carry
+            try:
+                for xm in x.tolist():
+                    s.append(half_G * (1.0 + M * sin(pi * (beta * s[-d] + xm) + Phi0)))
+            except ValueError:   # math.sin(inf): nan here and after
+                row[c + d:c + len(s)] = s[d:]
+                row[c + len(s):] = np.nan
+                break
+            row[c + d:c + len(s)] = s[d:]
+            carry = s[-d:]
+    return s_ext[..., d:]
 
 
-def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history):
+def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history, out=None):
     # block recursion: samples [b, b+d) depend only on samples < b
-    n = J.size
-    s_ext = np.empty(n + d)
-    s_ext[:d] = history
-    for b in range(0, n, d):
-        e = min(b + d, n)
-        s_ext[b + d:e + d] = 0.5 * G * (
-            1.0 + M * np.sin(np.pi * (beta * s_ext[b:e] + rho * J[b:e]) + Phi0)
-        )
-    return s_ext[d:]
+    s_ext = _extended(J, d, history, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, x in _chunks(J, rho):
+            s = s_ext[..., c:]
+            n = x.shape[-1]
+            for b in range(0, n, d):
+                e = min(b + d, n)
+                s[..., b + d:e + d] = 0.5 * G * (
+                    1.0 + M * np.sin(np.pi * (beta * s[..., b:e] + x[..., b:e]) + Phi0)
+                )
+    return s_ext[..., d:]
+
+
+def evolve_samples_compiled(J, d, G, M, beta, rho, Phi0, history, out=None):
+    """The numba-path sample recursion: the compiled loop on each row's J."""
+    s_ext = _extended(J, d, history, out)
+    for u, row in zip(_rows(J.u), _rows(s_ext)):
+        row[d:] = evolve_samples_numba(masked(u, J.mask), d, G, M, beta, rho,
+                                       Phi0, row[:d].copy())
+    return s_ext[..., d:]
 
 
 def dde_euler_loop(n_steps, dt, q, T_R, gs_pmax_half, M, inv_V_pi, x_b, pre, V0):

@@ -298,12 +298,16 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
+def _study_path(cfg) -> str:
+    return os.path.join(cfg["out"], "study.jsonl")
+
+
 def cmd_optimize(cfg: dict) -> int:
     out = cfg["out"]
     study = hyperopt.run_study(
         cfg["task"], template=_template(cfg), space=_space(cfg),
         budget=cfg["optimize.budget"], seeds=_seeds(cfg),
-        path=os.path.join(out, "study.jsonl"),
+        path=_study_path(cfg),
         width=cfg["optimize.width"], sampler=cfg["optimize.sampler"],
         n_startup=cfg["optimize.n_startup"], gamma=cfg["optimize.gamma"],
         n_candidates=cfg["optimize.n_candidates"],
@@ -381,13 +385,16 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"unknown task {cfg['task']!r}, expected one of {pipeline.TASK_IDS}\n"
                 + ap.format_usage())
+        if ns.cmd == "optimize":
+            # a refused study leaves its directory untouched
+            with hyperopt.locked_study(_study_path(cfg)):
+                _echo_config(cfg)
+                return cmd_optimize(cfg)
         _echo_config(cfg)
         if ns.cmd == "dynamics":
             return cmd_dynamics(ns.sub, cfg)
         if ns.cmd == "run":
             return cmd_run(cfg)
-        if ns.cmd == "optimize":
-            return cmd_optimize(cfg)
         return cmd_sweep_delay(cfg)
     except (ConfigurationError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .exceptions import ConfigurationError
 
 __all__ = [
     "SearchSpace", "Trial", "Study", "SweepRow",
-    "tpe_suggest", "run_study", "resonance_sweep",
+    "tpe_suggest", "run_study", "locked_study", "resonance_sweep",
     "save_study", "load_study", "sweep_to_rows",
 ]
 
@@ -37,6 +36,8 @@ logger = logging.getLogger("delayrc.hyperopt")
 DIMS = ("rho", "G", "Phi0", "tau_over_T", "lam")
 _LOG_DIMS = ("lam",)          # sampled and modeled in log10 space
 _LOW_OPEN = ("G", "tau_over_T")   # lower bound excluded
+# the most suggestions one batch may draw from the same history
+MAX_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -212,16 +213,9 @@ def _search(study: Study, objective, budget: int, sampler: str, width: int = 1,
         batch = min(width, budget - base)
         suggestions = [_suggest(study, sampler, base + i, tpe_options)
                        for i in range(batch)]
-        if batch == 1:
-            results = [_run_objective(objective, suggestions[0], base, base,
-                                      record_timing)]
-        else:
-            with ThreadPoolExecutor(max_workers=batch) as pool:
-                results = list(pool.map(
-                    lambda iv: _run_objective(objective, iv[1], base + iv[0],
-                                              base + iv[0], record_timing),
-                    enumerate(suggestions)))
-        for t in results:
+        for i, params in enumerate(suggestions):
+            t = _run_objective(objective, params, base + i, base + i,
+                               record_timing)
             study.trials.append(t)
             if path is not None:
                 _append_trial(path, t)
@@ -250,8 +244,9 @@ def run_study(task: str, template: dict | None = None,
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
     if sampler not in ("tpe", "random"):
         raise ConfigurationError(f"sampler must be tpe or random, got {sampler!r}")
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
+    if not 1 <= width <= MAX_WIDTH:
+        raise ConfigurationError(
+            f"width must be in [1, {MAX_WIDTH}], got {width}")
     space = space or SearchSpace()
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
@@ -263,7 +258,7 @@ def run_study(task: str, template: dict | None = None,
                   "task_options": dict(task_options or {})}
     # canonicalize through JSON so tuples compare equal after a reload
     descriptor = json.loads(_json(descriptor))
-    with _locked_study(path):
+    with locked_study(path):
         if path is not None and os.path.exists(path):
             study = load_study(path)
             if study.objective != descriptor or study.space != space:
@@ -284,20 +279,25 @@ def run_study(task: str, template: dict | None = None,
             n_candidates=n_candidates)
 
 
+_HELD = set()   # study directories this process holds the lock on
+
+
 @contextlib.contextmanager
-def _locked_study(path):
+def locked_study(path):
     """Hold an exclusive lock for the study file at path (None: no lock),
     or raise ConfigurationError at once if another process holds it.
 
     The lock is a flock on the file's directory, not on the file:
     save_study replaces the file, and a lock on the old inode would not
     exclude a writer that opens the new one. Locking writes nothing, so
-    the directory's contents stay as they are.
+    the directory's contents stay as they are. Inside a block that holds
+    the lock, taking it again holds it on (the CLI takes it before it
+    writes effective.cfg, then runs the study).
     """
-    if path is None:
+    folder = None if path is None else os.path.dirname(os.path.abspath(path))
+    if folder is None or folder in _HELD:
         yield
         return
-    folder = os.path.dirname(os.path.abspath(path))
     os.makedirs(folder, exist_ok=True)
     fd = os.open(folder, os.O_RDONLY)
     try:
@@ -307,7 +307,11 @@ def _locked_study(path):
             raise ConfigurationError(
                 f"study {path} is in use: another study holds the lock on "
                 f"{folder}") from None
-        yield
+        _HELD.add(folder)
+        try:
+            yield
+        finally:
+            _HELD.discard(folder)
     finally:
         os.close(fd)   # releases the lock
 
@@ -321,6 +325,38 @@ class SweepRow:
     repeats: int
 
 
+# bytes the states of one lockstep group of a delay sweep may take: the
+# repeats are driven in groups of as many rows as fit (at least one).
+# Three rows of the default sine_square stream (~525k samples, 4.2 MB)
+# fit, a fourth would not. More rows run faster per row, but each adds
+# its states to the sweep's peak memory: with three, a default sweep
+# peaks at 75.5 MB against 71.0 MB one row at a time (2-core x86 host;
+# benchmarks/bench_kernels.py --section lockstep, BENCH_6.json)
+_LOCKSTEP_BYTES = 16 * 2**20
+
+
+def _lockstep_groups(data, data_seeds, k, d_max):
+    """Consecutive groups of (series, split) of the data seeds, each with
+    the width of its states, the longest stream plus d_max samples, and
+    within _LOCKSTEP_BYTES over all rows. A series is built once, just
+    before it joins."""
+    def width(series):
+        # a delay longer than its stream is refused before it is run
+        n = series.n_steps * k
+        return n + min(d_max, n)
+
+    group, w = [], 0
+    for seed in data_seeds:
+        series, split = data(seed)
+        grown = max(w, width(series))
+        if group and (len(group) + 1) * grown * 8 > _LOCKSTEP_BYTES:
+            yield group, w
+            group, grown = [], width(series)
+        group.append((series, split))
+        w = grown
+    yield group, w
+
+
 def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
                     repeats: int = 5, template: dict | None = None,
                     seeds: dict | None = None,
@@ -330,25 +366,35 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     Grid values that land on an integer sample delay d already taken by an
     earlier value are collapsed: the first value for each d is kept, so the
     rows may be fewer than the grid values. Statistics are over `repeats`
-    data seeds (seeds["data"] + r). The seeds form the outer loop, so each
-    seed's series is built once for the whole grid.
+    data seeds (seeds["data"] + r). Each seed's series is built once. At
+    each d the seeds' reservoirs run in lockstep, in groups whose states
+    fit _LOCKSTEP_BYTES, all written to one buffer that serves every d.
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
         raise ConfigurationError("tau_over_T grid is empty")
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
-    eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
+    t, o, data = pipeline.task_setup(task, template, task_options)
     kept = {}                                  # d -> first grid value
     for v in grid:
-        kept.setdefault(int(round(template["k"] * v)), v)
+        kept.setdefault(int(round(t["k"] * v)), v)
     losses = {d: [] for d in kept}
-    for r in range(repeats):
+    buf = np.empty(0)
+    data_seeds = range(seeds["data"], seeds["data"] + repeats)
+    for group, width in _lockstep_groups(data, data_seeds, t["k"],
+                                         max(kept)):
+        if buf.size < len(group) * width:
+            buf = np.empty(len(group) * width)
+        out = buf[:len(group) * width].reshape(len(group), width)
         for d, v in kept.items():
             params = {**base_params, "tau_over_T": v}
-            losses[d].append(eval_fn(params, seeds["data"] + r).nmse_test)
+            cfg = pipeline.reservoir_config(t, params, seeds["mask"])
+            for res in pipeline.evaluate_rows(group, cfg, params["lam"],
+                                              o["washout"], t["add_bias"],
+                                              out):
+                losses[d].append(res.nmse_test)
     rows = []
     for d, v in kept.items():
         arr = np.array(losses[d])

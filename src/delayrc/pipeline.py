@@ -1,7 +1,8 @@
 """End-to-end evaluation: data generation, reservoir run, ridge training
 and scoring. Everything downstream (CLI, hyperparameter search, sweeps)
-funnels through evaluate_series so train/test bookkeeping lives in exactly
-one place."""
+funnels through fit_and_score, after the states of one series
+(evaluate_series) or of several in lockstep (evaluate_rows), so train/test
+bookkeeping lives in exactly one place."""
 
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ import numpy as np
 from . import tasks
 from .exceptions import ConfigurationError
 from .readout import classify_sequences, nmse, nrmse, predict, train_ridge
-from .reservoir import ReservoirConfig, make_input_mask, run_reservoir
+from .reservoir import (ReservoirConfig, check_stream_samples, make_input_mask,
+                        run_reservoir, run_reservoir_rows)
 from .tasks import LabeledSeries, Split, SplitPart
 
 __all__ = [
-    "EvalResult", "evaluate_series", "split_from_tags", "make_eval",
+    "EvalResult", "evaluate_series", "evaluate_rows", "fit_and_score",
+    "split_from_tags", "make_eval",
     "TASK_DEFAULTS", "TASK_IDS", "TEMPLATE_DEFAULTS", "SEED_DEFAULTS",
 ]
 
@@ -80,6 +83,29 @@ def evaluate_series(series: LabeledSeries, cfg: ReservoirConfig, lam: float,
     cfg0 = replace(cfg, washout_cycles=0)
     mask = make_input_mask(cfg0.k, cfg0.mask_seed)
     X = run_reservoir(series.u, cfg0, mask).entries
+    return fit_and_score(X, series, cfg0, lam, split, part_washout, add_bias)
+
+
+def evaluate_rows(group, cfg: ReservoirConfig, lam: float,
+                  part_washout: int = 0, add_bias: bool = False,
+                  out=None) -> list[EvalResult]:
+    """evaluate_series on each (series, split) of group, with the states
+    of all of them from one lockstep recursion (run_reservoir_rows, which
+    writes them to out when given)."""
+    cfg0 = replace(cfg, washout_cycles=0)
+    mask = make_input_mask(cfg0.k, cfg0.mask_seed)
+    states = run_reservoir_rows([series.u for series, _ in group], cfg0,
+                                mask, out)
+    return [fit_and_score(X.entries, series, cfg0, lam, split, part_washout,
+                          add_bias)
+            for X, (series, split) in zip(states, group)]
+
+
+def fit_and_score(X, series: LabeledSeries, cfg: ReservoirConfig, lam: float,
+                  split: Split, part_washout: int = 0,
+                  add_bias: bool = False) -> EvalResult:
+    """Fit the readout on the train side of the k x N states X of series
+    (one column per step) and score both sides."""
     tr = _scoring_mask(split.train, series, part_washout)
     te = _scoring_mask(split.test, series, part_washout)
     if not tr.any() or not te.any():
@@ -95,7 +121,7 @@ def evaluate_series(series: LabeledSeries, cfg: ReservoirConfig, lam: float,
         nmse_train=nmse(series.y[:, tr], y_hat[:, tr]),
         nmse_test=nmse(series.y[:, te], y_hat[:, te]),
         nrmse_test=nrmse(series.y[:, te], y_hat[:, te]),
-        wer=wer, weights=w, y_hat=y_hat, series=series, split=split, cfg=cfg0)
+        wer=wer, weights=w, y_hat=y_hat, series=series, split=split, cfg=cfg)
 
 
 def split_from_tags(series: LabeledSeries) -> Split:
@@ -116,6 +142,20 @@ def split_from_tags(series: LabeledSeries) -> Split:
         raise ConfigurationError("split tags put every sequence on one side")
     return Split(SplitPart(steps=tr_mask, segments=tuple(tr_segs)),
                  SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
+
+
+def _max_cycles(task: str, o: dict) -> int:
+    """The most input steps the task's options can give, known before any
+    data is built; 0 for a vowel file, whose size is known once read."""
+    if task == "sine_square":
+        return (o["n_waveforms"] * o["samples_per_period"][1]
+                * o["periods_per_waveform"])
+    if task == "narma10":
+        return o["length"]
+    if o["path"]:
+        return 0
+    return (o["n_per_class"] * tasks.N_VOWEL_SPEAKERS
+            * (tasks.SYNTHETIC_FRAMES[1] - 1) * tasks.N_VOWEL_CHANNELS)
 
 
 def _task_data(task: str, o: dict):
@@ -161,6 +201,28 @@ def _last_seed_cached(data):
     return cached
 
 
+def task_setup(task: str, template: dict | None = None,
+               options: dict | None = None):
+    """(template, options, data(seed)) of a benchmark id: template and
+    options override TEMPLATE_DEFAULTS and the task's TASK_DEFAULTS entry.
+    The stream size is checked against MAX_STREAM_SAMPLES before any data
+    is built."""
+    if task not in TASK_DEFAULTS:
+        raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
+    t = {**TEMPLATE_DEFAULTS, **(template or {})}
+    o = {**TASK_DEFAULTS[task], **(options or {})}
+    check_stream_samples(_max_cycles(task, o) * t["k"], f"task {task}")
+    return t, o, _task_data(task, o)
+
+
+def reservoir_config(t: dict, params: dict, mask_seed: int) -> ReservoirConfig:
+    """The reservoir of a template t and the tunables in params."""
+    return ReservoirConfig.from_ratio(
+        k=t["k"], rho=params["rho"], G=params["G"], Phi0=params["Phi0"],
+        tau_over_T=params["tau_over_T"], beta=t["beta"], M=t["M"],
+        washout_cycles=0, mask_seed=mask_seed)
+
+
 def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
               options: dict | None = None):
     """Build eval_fn(params, data_seed) -> EvalResult for a benchmark id.
@@ -171,18 +233,12 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
     once at closure creation, not per call; other series are built on the
     first call with a data seed and kept until a call with another seed.
     """
-    if task not in TASK_DEFAULTS:
-        raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
-    t = {**TEMPLATE_DEFAULTS, **(template or {})}
-    o = {**TASK_DEFAULTS[task], **(options or {})}
-    data = _last_seed_cached(_task_data(task, o))
+    t, o, data = task_setup(task, template, options)
+    data = _last_seed_cached(data)
 
     def eval_fn(params, data_seed):
         series, split = data(data_seed)
-        cfg = ReservoirConfig.from_ratio(
-            k=t["k"], rho=params["rho"], G=params["G"], Phi0=params["Phi0"],
-            tau_over_T=params["tau_over_T"], beta=t["beta"], M=t["M"],
-            washout_cycles=0, mask_seed=mask_seed)
+        cfg = reservoir_config(t, params, mask_seed)
         return evaluate_series(series, cfg, params["lam"], split,
                                part_washout=o["washout"],
                                add_bias=t["add_bias"])

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
-from .exceptions import ConfigurationError
+from . import _backend, _kernels
+from .exceptions import ConfigurationError, NumericsError
 
 __all__ = [
     "ReservoirConfig", "InputMask", "StateMatrix", "TransitionStructure",
-    "make_input_mask", "mask_input", "run_reservoir", "transition_structure",
+    "make_input_mask", "mask_input", "run_reservoir", "run_reservoir_rows",
+    "transition_structure",
 ]
 
 
@@ -128,8 +129,52 @@ def make_input_mask(k: int, seed: int) -> InputMask:
 
 def mask_input(u, mask: InputMask) -> np.ndarray:
     """Sample-and-hold plus masking: output[i + n k] = mask[i] u(n)."""
-    u = np.asarray(u, dtype=float)
-    return (u[:, None] * mask.values[None, :]).ravel()
+    return _kernels.masked(np.asarray(u, dtype=float), mask.values)
+
+
+# the most samples (cycles x k) one stream, or one lockstep group of
+# streams, may drive: their states take 160 MB
+MAX_STREAM_SAMPLES = 20_000_000
+NON_FINITE_STATES = ("reservoir states left the finite range; lower G, "
+                     "beta or rho")
+
+
+def check_stream_samples(n_samples: int, what: str):
+    """Refuse, before anything is allocated, to drive more than
+    MAX_STREAM_SAMPLES samples."""
+    if n_samples > MAX_STREAM_SAMPLES:
+        raise ConfigurationError(
+            f"{what} asks for {n_samples:,} samples, more than "
+            f"{MAX_STREAM_SAMPLES:,}")
+
+
+def _sample_delay(cfg: ReservoirConfig, mask: InputMask, n_cycles: int) -> int:
+    """The sample delay d of cfg, once a stream of n_cycles passes the
+    checks every driven stream passes."""
+    d = cfg.sample_delay
+    if d < 1:
+        raise ConfigurationError(
+            f"tau={cfg.tau!r} rounds to sample delay {d} < 1 on theta={cfg.theta!r}")
+    if mask.k != cfg.k:
+        raise ConfigurationError(f"mask length {mask.k} does not match k={cfg.k}")
+    if n_cycles <= cfg.washout_cycles:
+        raise ConfigurationError(
+            f"need more than washout_cycles={cfg.washout_cycles} input steps, got {n_cycles}")
+    check_stream_samples(n_cycles * cfg.k, "the input stream")
+    if d > n_cycles * cfg.k:
+        # no sample could feed back, and d sizes the history buffer
+        raise ConfigurationError(
+            f"sample delay tau/theta={cfg.tau / cfg.theta:g} is longer than "
+            f"the stream ({n_cycles} cycles of k={cfg.k} samples)")
+    return d
+
+
+def _states(s, n_cycles: int, cfg: ReservoirConfig) -> np.ndarray:
+    """k x n_cycles view of the samples s of one stream, checked finite
+    once: the one outcome of an overflow, whichever kernel ran."""
+    if not np.isfinite(s).all():
+        raise NumericsError(NON_FINITE_STATES)
+    return s.reshape(n_cycles, cfg.k).T
 
 
 def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
@@ -141,31 +186,44 @@ def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
     conditions can be probed.
     """
     u = np.asarray(u, dtype=float)
-    d = cfg.sample_delay
-    if d < 1:
-        raise ConfigurationError(
-            f"tau={cfg.tau!r} rounds to sample delay {d} < 1 on theta={cfg.theta!r}")
-    if mask.k != cfg.k:
-        raise ConfigurationError(f"mask length {mask.k} does not match k={cfg.k}")
-    if u.size <= cfg.washout_cycles:
-        raise ConfigurationError(
-            f"need more than washout_cycles={cfg.washout_cycles} input steps, got {u.size}")
-    if d > u.size * cfg.k:
-        # no sample could feed back, and d sizes the history buffer
-        raise ConfigurationError(
-            f"sample delay tau/theta={cfg.tau / cfg.theta:g} is longer than "
-            f"the stream ({u.size} cycles of k={cfg.k} samples)")
+    d = _sample_delay(cfg, mask, u.size)
     if history is None:
         history = np.zeros(d)
     else:
         history = np.asarray(history, dtype=float)
         if history.shape != (d,):
             raise ConfigurationError(f"history must have shape ({d},)")
-    J = mask_input(u, mask)
-    s = _backend.evolve_samples(J, d, cfg.G, cfg.M, cfg.beta, cfg.rho, cfg.Phi0,
-                                history)
-    X = s.reshape(u.size, cfg.k).T
+    s = _backend.evolve_samples(_kernels.HeldInput(u, mask.values), d, cfg.G,
+                                cfg.M, cfg.beta, cfg.rho, cfg.Phi0, history)
+    X = _states(s, u.size, cfg)
     return StateMatrix(entries=X[:, cfg.washout_cycles:])
+
+
+def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
+                       out: np.ndarray | None = None) -> list[StateMatrix]:
+    """run_reservoir on each held input in us (zero history), driven in
+    lockstep: the same states, from one recursion over all rows.
+
+    Streams shorter than the longest are zero-padded past their end; by
+    causality that leaves each stream's own samples exact. out, when
+    given, is a rows x (longest stream + d or more) buffer the samples are
+    written to, so one buffer can serve many calls; the returned states
+    are then views of it, valid until it is written again.
+    """
+    us = [np.asarray(u, dtype=float) for u in us]
+    for u in us:
+        d = _sample_delay(cfg, mask, u.size)
+    n_max = max(u.size for u in us)
+    check_stream_samples(len(us) * n_max * cfg.k, "a lockstep group")
+    held = np.zeros((len(us), n_max))
+    for row, u in zip(held, us):
+        row[:u.size] = u
+    s = _backend.evolve_samples(_kernels.HeldInput(held, mask.values), d,
+                                cfg.G, cfg.M, cfg.beta, cfg.rho, cfg.Phi0,
+                                np.zeros(d), out=out)
+    return [StateMatrix(_states(row[:u.size * cfg.k], u.size, cfg)
+                        [:, cfg.washout_cycles:])
+            for row, u in zip(s, us)]
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,8 @@ N_VOWEL_SPEAKERS = 9
 # canonical per-speaker utterance counts of the two distribution files
 TRAIN_COUNTS = (30,) * 9
 TEST_COUNTS = (31, 35, 88, 44, 29, 24, 40, 50, 29)
+# frames per synthetic utterance, drawn from [lo, hi)
+SYNTHETIC_FRAMES = (12, 26)
 
 
 def _parse_blocks(path):
@@ -254,7 +256,7 @@ def gen_synthetic_vowels(n_per_class: int, seed: int = 0) -> list[SequenceSample
         drift = rng.normal(0.0, 0.8, N_VOWEL_CHANNELS)
         n_train = max(1, (n_per_class + 1) // 2)
         for j in range(n_per_class):
-            L = int(rng.integers(12, 26))
+            L = int(rng.integers(*SYNTHETIC_FRAMES))
             x = rng.normal(0.0, 0.5, N_VOWEL_CHANNELS)
             frames = np.empty((L, N_VOWEL_CHANNELS))
             for t in range(L):

@@ -236,6 +236,63 @@ def test_map_size_is_bounded(run_cli, argv, artifact):
     assert not (outdir / artifact).exists()
 
 
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Make every data generator and the mask fail the test if reached: a
+    size bound must refuse before anything is built."""
+    from delayrc import pipeline, tasks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built data or a mask past the size bound")
+    for name in ("gen_narma10", "gen_sine_square", "gen_synthetic_vowels"):
+        monkeypatch.setattr(tasks, name, refuse)
+    monkeypatch.setattr(pipeline, "make_input_mask", refuse)
+
+
+@pytest.mark.parametrize("command", ["run", "optimize", "sweep-delay"])
+@pytest.mark.parametrize("argv", [
+    ["task=narma10", "task.length=1000000000000"],
+    ["task=sine_square", "task.n_waveforms=1000000000"],
+    ["task=sine_square", "reservoir.k=1000000000"],
+    ["task=vowels", "task.n_per_class=1000000000"],
+])
+def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
+    # sized as asked, each stream would take terabytes of states
+    extra = ["sweep.grid=1.0", "sweep.repeats=1"] if command == "sweep-delay" else []
+    code, _, err, outdir = run_cli([command] + argv + extra)
+    assert code == 2
+    assert "more than" in err
+    assert sorted(os.listdir(outdir)) == ["effective.cfg"]
+
+
+def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
+    # d=10 runs the scalar loop (math.sin(inf) raises), d=50 the block
+    # recursion (np.sin(inf) is nan); a two-row sweep runs them in
+    # lockstep: every case ends in the same error
+    base = ["task=narma10", "task.length=200", "task.washout=5",
+            "reservoir.G=1e308"]
+    errs = set()
+    for argv in (["run", "reservoir.tau_over_T=0.2"],
+                 ["run", "reservoir.tau_over_T=1.0"],
+                 ["sweep-delay", "sweep.grid=0.2", "sweep.repeats=2"],
+                 ["sweep-delay", "sweep.grid=1.0", "sweep.repeats=2"]):
+        code, _, err, _ = run_cli(argv + base)
+        assert code == 3, err
+        errs.add(err)
+    assert len(errs) == 1
+    assert "finite" in errs.pop()
+
+
+def test_optimize_width_is_bounded(run_cli):
+    from delayrc import hyperopt
+    code, _, err, outdir = run_cli(
+        ["optimize", "optimize.budget=2",
+         f"optimize.width={hyperopt.MAX_WIDTH + 1}"] + FAST_SS)
+    assert code == 2
+    assert "width" in err
+    assert not (outdir / "study.jsonl").exists()
+
+
 def test_optimize_refuses_a_locked_study(run_cli):
     args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
     code, _, _, outdir = run_cli(args)
@@ -251,7 +308,7 @@ def test_optimize_refuses_a_locked_study(run_cli):
     assert "in use" in err
     after = hash_tree(outdir)
     assert sorted(after) == sorted(before)   # no lock file left behind
-    for name in ("study.jsonl", "best.cfg"):
+    for name in ("study.jsonl", "best.cfg", "effective.cfg"):
         assert after[name] == before[name]
     code, _, _, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
     assert code == 0

@@ -372,6 +372,50 @@ def test_resonance_sweep_builds_each_series_once(monkeypatch):
         assert row.nmse_std == float(losses.std())
 
 
+@pytest.mark.parametrize("budget_rows", [None, 2])
+def test_resonance_sweep_runs_ragged_seeds_in_lockstep(monkeypatch,
+                                                       budget_rows):
+    opts = {"n_waveforms": 4, "periods_per_waveform": 8, "washout": 2}
+    real = tasks.gen_sine_square
+    lengths = [real(4, (3, 5), 8, seed=s).n_steps for s in range(5)]
+    assert len(set(lengths)) > 1   # the streams are ragged
+    if budget_rows:   # room for two rows of the longest stream plus d
+        monkeypatch.setattr(hyperopt, "_LOCKSTEP_BYTES",
+                            budget_rows * 8 * (max(lengths) * 50 + 100))
+    calls, groups = [], []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    def recording(group, *args, **kwargs):
+        groups.append(len(group))
+        return real_rows(group, *args, **kwargs)
+
+    real_rows = pipeline.evaluate_rows
+    monkeypatch.setattr(tasks, "gen_sine_square", counting)
+    monkeypatch.setattr(pipeline, "evaluate_rows", recording)
+    base = dict(rho=0.9, G=0.56, Phi0=0.2, lam=1e-6)
+    # 0.502 lands on d=25 like 0.5 and is collapsed; d=13 runs the scalar
+    # loop, the others the block recursion
+    grid = (0.26, 0.5, 0.502, 1.0, 2.0)
+    rows = resonance_sweep("sine_square", base, grid, repeats=5,
+                           task_options=opts)
+    assert calls == [0, 1, 2, 3, 4]
+    assert groups == ([5] * 4 if budget_rows is None else [2] * 4 + [2] * 4
+                      + [1] * 4)
+    # the numbers of evaluating each grid value over its seeds in turn
+    eval_fn = pipeline.make_eval("sine_square", options=opts)
+    assert [(r.tau_over_T, r.d) for r in rows] == [
+        (0.26, 13), (0.5, 25), (1.0, 50), (2.0, 100)]
+    for row in rows:
+        losses = np.array([
+            eval_fn({**base, "tau_over_T": row.tau_over_T}, r).nmse_test
+            for r in range(5)])
+        assert row.nmse_mean == float(losses.mean())
+        assert row.nmse_std == float(losses.std())
+
+
 def test_resonance_sweep_collapses_colliding_ratios():
     # 0.501 and 0.502 both round to d=25 at k=50: the first value is kept
     base = dict(rho=0.9, G=0.56, Phi0=0.2, lam=1e-6)

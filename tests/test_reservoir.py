@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayrc import _kernels
-from delayrc.exceptions import ConfigurationError
+from delayrc.exceptions import ConfigurationError, NumericsError
 from delayrc.reservoir import (
+    MAX_STREAM_SAMPLES,
     InputMask,
     ReservoirConfig,
     make_input_mask,
     mask_input,
     run_reservoir,
+    run_reservoir_rows,
     transition_structure,
 )
 
@@ -261,12 +263,15 @@ def test_matrix_form_reproduces_samplewise_run(k, d, seed):
 
 def test_numpy_block_recursion_matches_python_loop():
     rng = np.random.default_rng(11)
-    # longer than one scalar-loop chunk and a multiple of neither it nor d
-    J = rng.uniform(-1, 1, _kernels._CHUNK + 907)
-    below = _kernels._SCALAR_BELOW
+    # longer than one chunk and a multiple of neither it nor d
+    mask = make_input_mask(7, 3)
+    u = rng.uniform(-1, 1, (_kernels._CHUNK + 907) // 7)
+    J = mask_input(u, mask)
+    held = _kernels.HeldInput(u, mask.values)
+    below = _kernels.scalar_below(1)
     for d in (1, 3, below - 1, below, 50, 137, 700, 6000):
         hist = np.zeros(d)
-        a = _kernels.evolve_samples_numpy(J, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
+        a = _kernels.evolve_samples_numpy(held, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
         s = np.zeros(J.size + d)
         for m in range(J.size):
             s[m + d] = 0.5 * 0.9 * (1 + 0.983 * np.sin(
@@ -277,23 +282,108 @@ def test_numpy_block_recursion_matches_python_loop():
         # both numpy strategies are checked at every d, not only the one
         # evolve_samples_numpy picks
         for h in (hist, rng.uniform(0, 1, d)):
-            args = (J, d, 1.1, 0.983, 0.85, 0.9, 0.63, h)
-            ref = _kernels.evolve_samples_loop(*args)
+            params = (d, 1.1, 0.983, 0.85, 0.9, 0.63, h)
+            ref = _kernels.evolve_samples_loop(J, *params)
             for kernel in (_kernels.evolve_samples_numpy,
                            _kernels.evolve_samples_scalar,
                            _kernels.evolve_samples_block):
-                assert np.array_equal(kernel(*args), ref), (kernel, d)
+                assert np.array_equal(kernel(held, *params), ref), (kernel, d)
+
+
+def _ragged_rows(rng, R, k):
+    """R held inputs of different lengths, and the zero-padded rows x
+    cycles array of them."""
+    us = [rng.uniform(-1, 1, n) for n in rng.integers(700, 1100, R)]
+    padded = np.zeros((R, max(u.size for u in us)))
+    for row, u in zip(padded, us):
+        row[:u.size] = u
+    return us, padded
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 5])
+def test_lockstep_rows_match_loop_bitwise(R):
+    rng = np.random.default_rng(20 + R)
+    mask = make_input_mask(7, 2)
+    us, padded = _ragged_rows(rng, R, 7)
+    held = _kernels.HeldInput(padded, mask.values)
+    below = _kernels.scalar_below(R)
+    for d in (1, 3, below - 1, below, 50, 137, 700):
+        for H in (np.zeros((R, d)), rng.uniform(0, 1, (R, d))):
+            params = (d, 1.1, 0.983, 0.85, 0.9, 0.63)
+            for kernel in (_kernels.evolve_samples_numpy,
+                           _kernels.evolve_samples_scalar,
+                           _kernels.evolve_samples_block):
+                S = kernel(held, *params, H)
+                for i, u in enumerate(us):
+                    ref = _kernels.evolve_samples_loop(mask_input(u, mask),
+                                                       *params, H[i])
+                    assert np.array_equal(S[i, :ref.size], ref), (kernel, d, i)
+
+
+def test_rows_write_into_a_reused_buffer():
+    rng = np.random.default_rng(4)
+    mask = make_input_mask(7, 2)
+    us, _ = _ragged_rows(rng, 3, 7)
+    out = np.full((3, max(u.size for u in us) * 7 + 60), np.nan)
+    for d in (60, 5, 33):   # a shorter delay after a longer one
+        c = cfg_for(k=7, tau=float(d))
+        states = run_reservoir_rows(us, c, mask, out=out)
+        for X, u in zip(states, us):
+            assert np.shares_memory(X.entries, out)
+            assert np.array_equal(X.entries, run_reservoir(u, c, mask).entries)
+
+
+def test_rows_check_every_stream():
+    mask = make_input_mask(7, 2)
+    us = [np.ones(20), np.ones(3)]
+    with pytest.raises(ConfigurationError, match="longer than the stream"):
+        run_reservoir_rows(us, cfg_for(k=7, tau=30.0), mask)
+
+
+@pytest.mark.parametrize("tau", [10.0, 50.0])   # scalar loop, block recursion
+def test_state_overflow_raises_numerics_error(tau):
+    c = cfg_for(G=1e308, tau=tau)
+    mask = make_input_mask(50, 0)
+    u = np.random.default_rng(3).uniform(0, 0.5, 40)
+    with pytest.raises(NumericsError, match="finite"):
+        run_reservoir(u, c, mask)
+    with pytest.raises(NumericsError, match="finite"):
+        run_reservoir_rows([u, u[:30]], c, mask)
+
+
+def test_stream_size_is_checked_before_allocation(monkeypatch):
+    from delayrc import _backend
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the size bound")
+    monkeypatch.setattr(_backend, "evolve_samples", refuse)
+    k = 10 ** 6
+    c = cfg_for(k=k, tau=float(k))
+    mask = InputMask(np.zeros(k), 0)
+    n = MAX_STREAM_SAMPLES // k
+    with pytest.raises(ConfigurationError, match="more than"):
+        run_reservoir(np.zeros(n + 1), c, mask)
+    # each stream is within the bound, the two together are not
+    with pytest.raises(ConfigurationError, match="lockstep group"):
+        run_reservoir_rows([np.zeros(n // 2 + 1)] * 2, c, mask)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 def test_backends_agree_bitwise():
     rng = np.random.default_rng(12)
-    J = rng.uniform(-1, 1, 2000)
+    mask = make_input_mask(7, 2)
+    us, padded = _ragged_rows(rng, 3, 7)
+    held = _kernels.HeldInput(padded, mask.values)
     for d in (1, 14, 50, 333):
-        hist = rng.uniform(0, 1, d)
-        a = _kernels.evolve_samples_numpy(J, d, 1.1, 0.983, 0.85, 0.9, 0.63, hist)
-        b = _kernels.evolve_samples_numba(J, d, 1.1, 0.983, 0.85, 0.9, 0.63, hist)
+        hist = rng.uniform(0, 1, (3, d))
+        params = (d, 1.1, 0.983, 0.85, 0.9, 0.63, hist)
+        a = _kernels.evolve_samples_numpy(held, *params)
+        b = _kernels.evolve_samples_compiled(held, *params)
         assert np.array_equal(a, b)
+        for i, u in enumerate(us):
+            c = _kernels.evolve_samples_numba(mask_input(u, mask), *params[:-1],
+                                              hist[i])
+            assert np.array_equal(b[i, :c.size], c)
 
 
 def test_backend_env_selection():
