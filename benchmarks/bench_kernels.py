@@ -5,14 +5,14 @@ The reservoir update is an inherently sequential recursion (each sample
 feeds back d steps later). The numpy path has two strategies: a per-sample
 loop on Python floats, and a block recursion that advances d samples per
 round of numpy calls. Both take the held input u and the mask and form the
-masked input chunk by chunk; u may hold rows of streams, which then run in
-lockstep. evolve_samples_numpy runs the loop for d below
-_kernels.scalar_below(rows) and the block recursion otherwise; the numba
-kernel compiles the plain loop. All of them produce bitwise-identical
-streams. The recursion section times each strategy on one stream at
-several delays, checks that they agree, and scans d for the delay from
-which the block recursion is faster than the loop: the crossover the
-first entry of _SCALAR_BELOW is set from.
+masked input chunk by chunk; u holds rows x cycles (one stream is one
+row), and rows run in lockstep. evolve_samples_numpy runs the loop for d
+below _kernels.scalar_below(rows) and the block recursion otherwise; the
+numba kernel compiles the plain loop. All of them produce
+bitwise-identical streams. The recursion section times each strategy on
+one stream at several delays, checks that they agree, and scans d for the
+delay from which the block recursion is faster than the loop: the
+crossover the first entry of _SCALAR_BELOW is set from.
 
 The lockstep section times R rows driven together against the same R
 rows one at a time, per row, for R = 1..5, and scans d for the crossover
@@ -44,10 +44,9 @@ K = 50                                   # samples per cycle
 
 
 def held_input(rows, n, seed=0):
-    """HeldInput of rows x (n // K) cycles (1-d for rows=None)."""
+    """HeldInput of rows x (n // K) cycles."""
     rng = np.random.default_rng(seed)
-    shape = n // K if rows is None else (rows, n // K)
-    return _kernels.HeldInput(rng.uniform(-1.0, 1.0, shape),
+    return _kernels.HeldInput(rng.uniform(-1.0, 1.0, (rows, n // K)),
                               rng.uniform(-1.0, 1.0, K))
 
 
@@ -178,7 +177,7 @@ def bench_dynamics():
 
 
 def bench_recursion(n):
-    J = held_input(None, n)
+    J = held_input(1, n)
     below = _kernels.scalar_below(1)
 
     if _kernels.HAVE_NUMBA:
@@ -245,11 +244,12 @@ def bench_lockstep(n):
             history = np.zeros(d)
             t_lock, S = bench(_kernels.evolve_samples_numpy, J, d, history)
             t_one, same = 0.0, True
-            for u, s in zip(J.u, S):
+            for i, s in enumerate(S):
                 t, s1 = bench(_kernels.evolve_samples_numpy,
-                              _kernels.HeldInput(u, J.mask), d, history)
+                              _kernels.HeldInput(J.u[i:i + 1], J.mask), d,
+                              history)
                 t_one += t
-                same = same and np.array_equal(s, s1)
+                same = same and np.array_equal(s, s1[0])
             print(f"{R:>3} {d:>5} {t_lock * 1e3 / R:>9.1f} "
                   f"{t_one * 1e3 / R:>11.1f} {t_one / t_lock:>7.2f}x  "
                   f"{'bitwise' if same else 'DIFFER'}")

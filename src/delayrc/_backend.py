@@ -6,13 +6,14 @@ DELAYRC_BACKEND controls which implementation of the hot loops is used:
   numba  - require the compiled kernels, fail if numba is missing
   numpy  - force the pure-numpy kernels
 
-evolve_samples(J, d, G, M, beta, rho, Phi0, history, out=None) runs the
-sample recursion of a HeldInput J: one stream, or rows of streams in
-lockstep. The numpy path picks one of two strategies by the delay d and
-the number of rows: a per-sample scalar loop for short delays and a block
-recursion for long ones (see _kernels). Both backends produce
-bitwise-identical results; the flag only trades compile latency against
-throughput. See benchmarks/bench_kernels.py.
+evolve_samples(J, d, G, M, beta, rho, Phi0, history) runs the sample
+recursion of a HeldInput J, rows x cycles of streams in lockstep (one
+stream is one row), and returns a new rows x samples array. The numpy
+path picks one of two strategies by the delay d and the number of rows: a
+per-sample scalar loop for short delays and a block recursion for long
+ones (see _kernels). Both backends produce bitwise-identical results;
+the flag only trades compile latency against throughput. See
+benchmarks/bench_kernels.py.
 """
 
 import os

@@ -2,11 +2,11 @@
 
 The sample recursion is driven by the masked input J(i + n k) = mask[i] u(n)
 of the held input u. The kernels take J as a HeldInput: u and the mask, not
-their product. u is one stream (1-d) or rows of equally long streams (rows
-x cycles); rows are independent recursions that advance in lockstep, so
-one round of numpy calls serves them all. The numpy path never forms J
-whole: it forms rho*(u*mask), the product rho*J gave, one chunk of whole
-cycles at a time.
+their product. u holds rows of equally long streams (rows x cycles; one
+stream is one row); rows are independent recursions that advance in
+lockstep, so one round of numpy calls serves them all. Each kernel returns
+a new rows x samples array. The numpy path never forms J whole: it forms
+rho*(u*mask), the product rho*J gave, one chunk of whole cycles at a time.
 
 Within a chunk the numpy path runs one of two strategies, chosen by the
 delay d and the number of rows: for d below scalar_below(rows) a per-sample
@@ -42,7 +42,7 @@ _CHUNK = 4096
 class HeldInput(NamedTuple):
     """The masked input J(i + n k) = mask[i] u(n), kept as its factors."""
 
-    u: np.ndarray      # cycles, or rows x cycles
+    u: np.ndarray      # rows x cycles
     mask: np.ndarray   # k values
 
     @property
@@ -73,51 +73,43 @@ def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
     return s_ext[d:]
 
 
-def _extended(J, d, history, out):
-    """The samples s(-d).. of every row, history filled in: a new array,
-    or the leading columns of out (rows x at least n + d)."""
-    shape = J.u.shape[:-1] + (J.u.shape[-1] * J.mask.size + d,)
-    s_ext = np.empty(shape) if out is None else out[..., :shape[-1]]
-    if s_ext.shape != shape:
-        raise ValueError(f"out holds {s_ext.shape}, need {shape}")
-    s_ext[..., :d] = history
+def _extended(J, d, history):
+    """The samples s(-d).. of every row, history filled in."""
+    rows, cycles = J.u.shape
+    s_ext = np.empty((rows, cycles * J.mask.size + d))
+    s_ext[:, :d] = history
     return s_ext
-
-
-def _rows(a):
-    return a.reshape(-1, a.shape[-1])
 
 
 def _chunks(J, rho):
     """(first sample, rho*J over it) for consecutive chunks of whole cycles."""
     k = J.mask.size
     step = max(1, _CHUNK // k)
-    for c in range(0, J.u.shape[-1], step):
-        yield c * k, rho * masked(J.u[..., c:c + step], J.mask)
+    for c in range(0, J.u.shape[1], step):
+        yield c * k, rho * masked(J.u[:, c:c + step], J.mask)
 
 
-def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history, out=None):
+def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
     """The numpy-path sample recursion of every row of J: the scalar loop
     for d below scalar_below(rows), the block recursion otherwise. Returns
-    samples s(0).. (rows x n, or n), a view of out when given."""
-    rows = math.prod(J.u.shape[:-1])
-    kernel = evolve_samples_scalar if d < scalar_below(rows) else evolve_samples_block
-    return kernel(J, d, G, M, beta, rho, Phi0, history, out)
+    samples s(0).. of each row (rows x n)."""
+    kernel = evolve_samples_scalar if d < scalar_below(len(J.u)) else evolve_samples_block
+    return kernel(J, d, G, M, beta, rho, Phi0, history)
 
 
-def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history, out=None):
+def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history):
     # per-sample loop over chunks, row by row; s holds the d samples
     # carried from the previous chunk, then this chunk's samples, so s[-d]
     # is s(m - d)
-    s_ext = _extended(J, d, history, out)
+    s_ext = _extended(J, d, history)
     half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
     pi, sin = math.pi, math.sin
-    for u, row in zip(_rows(J.u), _rows(s_ext)):
+    for i, row in enumerate(s_ext):
         carry = row[:d].tolist()
-        for c, x in _chunks(HeldInput(u, J.mask), rho):
+        for c, x in _chunks(HeldInput(J.u[i:i + 1], J.mask), rho):
             s = carry
             try:
-                for xm in x.tolist():
+                for xm in x[0].tolist():
                     s.append(half_G * (1.0 + M * sin(pi * (beta * s[-d] + xm) + Phi0)))
             except ValueError:   # math.sin(inf): nan here and after
                 row[c + d:c + len(s)] = s[d:]
@@ -125,31 +117,31 @@ def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history, out=None):
                 break
             row[c + d:c + len(s)] = s[d:]
             carry = s[-d:]
-    return s_ext[..., d:]
+    return s_ext[:, d:]
 
 
-def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history, out=None):
+def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history):
     # block recursion: samples [b, b+d) depend only on samples < b
-    s_ext = _extended(J, d, history, out)
+    s_ext = _extended(J, d, history)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, x in _chunks(J, rho):
-            s = s_ext[..., c:]
-            n = x.shape[-1]
+            s = s_ext[:, c:]
+            n = x.shape[1]
             for b in range(0, n, d):
                 e = min(b + d, n)
-                s[..., b + d:e + d] = 0.5 * G * (
-                    1.0 + M * np.sin(np.pi * (beta * s[..., b:e] + x[..., b:e]) + Phi0)
+                s[:, b + d:e + d] = 0.5 * G * (
+                    1.0 + M * np.sin(np.pi * (beta * s[:, b:e] + x[:, b:e]) + Phi0)
                 )
-    return s_ext[..., d:]
+    return s_ext[:, d:]
 
 
-def evolve_samples_compiled(J, d, G, M, beta, rho, Phi0, history, out=None):
+def evolve_samples_compiled(J, d, G, M, beta, rho, Phi0, history):
     """The numba-path sample recursion: the compiled loop on each row's J."""
-    s_ext = _extended(J, d, history, out)
-    for u, row in zip(_rows(J.u), _rows(s_ext)):
+    s_ext = _extended(J, d, history)
+    for u, row in zip(J.u, s_ext):
         row[d:] = evolve_samples_numba(masked(u, J.mask), d, G, M, beta, rho,
                                        Phi0, row[:d].copy())
-    return s_ext[..., d:]
+    return s_ext[:, d:]
 
 
 def dde_euler_loop(n_steps, dt, q, T_R, gs_pmax_half, M, inv_V_pi, x_b, pre, V0):

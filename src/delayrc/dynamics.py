@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, NumericsError
 
 __all__ = [
     "OscillatorParams", "FixedPoint", "Regime",
@@ -106,11 +106,13 @@ def map_derivative(x, p: OscillatorParams):
 
 # the longest orbit, and the most orbit samples in a diagram: 80 MB of doubles
 _MAP_MAX_SAMPLES = 10_000_000
+NON_FINITE_ORBIT = "map iterates left the finite range; lower G"
 
 
 def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     """Trajectory [x0, x1, ..., xn] of length n + 1; n is at most
-    _MAP_MAX_SAMPLES."""
+    _MAP_MAX_SAMPLES. An iterate whose phase overflows raises
+    NumericsError (math.sin(inf) raises where np.sin would give nan)."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if n > _MAP_MAX_SAMPLES:
@@ -122,9 +124,12 @@ def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     # locals for the hot loop; Python multiplies left to right, so
     # half_g*(...) rounds exactly as step_map's 0.5*G*(...) does
     half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
-    for i in range(1, n + 1):
-        x = half_g * (1.0 + m * sin(pi * (x + x_b)))
-        out[i] = x
+    try:
+        for i in range(1, n + 1):
+            x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+            out[i] = x
+    except ValueError:   # math.sin(inf)
+        raise NumericsError(NON_FINITE_ORBIT) from None
     return out
 
 
@@ -138,10 +143,14 @@ def iterate_n(x, N: int, p: OscillatorParams):
 
 def _iterate_n_float(x: float, N: int, p: OscillatorParams) -> float:
     """iterate_n for one Python float, in the same operations (math.sin
-    must round like np.sin for the two to agree bitwise)."""
+    must round like np.sin for the two to agree bitwise). Raises
+    NumericsError where iterate does."""
     half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
-    for _ in range(N):
-        x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+    try:
+        for _ in range(N):
+            x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+    except ValueError:   # math.sin(inf)
+        raise NumericsError(NON_FINITE_ORBIT) from None
     return x
 
 
@@ -168,9 +177,13 @@ _PERIOD_TOL = 1e-8
 
 def _bisect(f, a, b, fa, fb):
     # plain bisection; the iterated map is bounded and smooth so this is
-    # robust where Newton would stall on derivative zeros
+    # robust where Newton would stall on derivative zeros. It also ends
+    # where a and b are adjacent floats farther apart than _BISECT_TOL
+    # (roots of 8192 and more): no midpoint lies strictly between them.
     while b - a > _BISECT_TOL:
         m = 0.5 * (a + b)
+        if not a < m < b:
+            break
         fm = f(m)
         if fm == 0.0:
             return m

@@ -196,26 +196,28 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     return params
 
 
-def _suggest(study: Study, sampler, trial_id, tpe_options):
+def _suggest(study: Study, history, sampler, trial_id, tpe_options):
     rng = np.random.default_rng([study.sampler_seed, trial_id])
     if sampler == "random":
         return study.space.sample(rng)
-    return tpe_suggest(study, study.space, rng=rng, **tpe_options)
+    return tpe_suggest(history, study.space, rng=rng, **tpe_options)
 
 
 def _search(study: Study, objective, budget: int, sampler: str, width: int = 1,
             record_timing: bool = False, path=None, **tpe_options):
     """Run trials on objective(params) -> loss until the study holds
-    budget trials, `width` at a time, appending each to path if given.
-    tpe_options (n_startup, gamma, n_candidates) go to tpe_suggest."""
+    budget trials, appending each to path if given. Trials come in
+    batches of `width` ids from a multiple of width, each drawn from the
+    trials before its batch, so a study resumed inside a batch draws the
+    rest of it as an uninterrupted run would. tpe_options (n_startup,
+    gamma, n_candidates) go to tpe_suggest."""
     while len(study.trials) < budget:
         base = len(study.trials)
-        batch = min(width, budget - base)
-        suggestions = [_suggest(study, sampler, base + i, tpe_options)
-                       for i in range(batch)]
-        for i, params in enumerate(suggestions):
-            t = _run_objective(objective, params, base + i, base + i,
-                               record_timing)
+        start = base - base % width
+        history = study.trials[:start]
+        for i in range(base, min(start + width, budget)):
+            params = _suggest(study, history, sampler, i, tpe_options)
+            t = _run_objective(objective, params, i, i, record_timing)
             study.trials.append(t)
             if path is not None:
                 _append_trial(path, t)
@@ -336,10 +338,9 @@ _LOCKSTEP_BYTES = 16 * 2**20
 
 
 def _lockstep_groups(data, data_seeds, k, d_max):
-    """Consecutive groups of (series, split) of the data seeds, each with
-    the width of its states, the longest stream plus d_max samples, and
-    within _LOCKSTEP_BYTES over all rows. A series is built once, just
-    before it joins."""
+    """Consecutive groups of (series, split) of the data seeds, each
+    holding as many as fit _LOCKSTEP_BYTES: a row's states take its stream
+    plus d_max samples. A series is built once, just before it joins."""
     def width(series):
         # a delay longer than its stream is refused before it is run
         n = series.n_steps * k
@@ -350,11 +351,11 @@ def _lockstep_groups(data, data_seeds, k, d_max):
         series, split = data(seed)
         grown = max(w, width(series))
         if group and (len(group) + 1) * grown * 8 > _LOCKSTEP_BYTES:
-            yield group, w
+            yield group
             group, grown = [], width(series)
         group.append((series, split))
         w = grown
-    yield group, w
+    yield group
 
 
 def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
@@ -368,7 +369,7 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     rows may be fewer than the grid values. Statistics are over `repeats`
     data seeds (seeds["data"] + r). Each seed's series is built once. At
     each d the seeds' reservoirs run in lockstep, in groups whose states
-    fit _LOCKSTEP_BYTES, all written to one buffer that serves every d.
+    fit _LOCKSTEP_BYTES.
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
@@ -381,19 +382,13 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     for v in grid:
         kept.setdefault(int(round(t["k"] * v)), v)
     losses = {d: [] for d in kept}
-    buf = np.empty(0)
     data_seeds = range(seeds["data"], seeds["data"] + repeats)
-    for group, width in _lockstep_groups(data, data_seeds, t["k"],
-                                         max(kept)):
-        if buf.size < len(group) * width:
-            buf = np.empty(len(group) * width)
-        out = buf[:len(group) * width].reshape(len(group), width)
+    for group in _lockstep_groups(data, data_seeds, t["k"], max(kept)):
         for d, v in kept.items():
             params = {**base_params, "tau_over_T": v}
             cfg = pipeline.reservoir_config(t, params, seeds["mask"])
             for res in pipeline.evaluate_rows(group, cfg, params["lam"],
-                                              o["washout"], t["add_bias"],
-                                              out):
+                                              o["washout"], t["add_bias"]):
                 losses[d].append(res.nmse_test)
     rows = []
     for d, v in kept.items():

@@ -87,15 +87,14 @@ def evaluate_series(series: LabeledSeries, cfg: ReservoirConfig, lam: float,
 
 
 def evaluate_rows(group, cfg: ReservoirConfig, lam: float,
-                  part_washout: int = 0, add_bias: bool = False,
-                  out=None) -> list[EvalResult]:
+                  part_washout: int = 0,
+                  add_bias: bool = False) -> list[EvalResult]:
     """evaluate_series on each (series, split) of group, with the states
-    of all of them from one lockstep recursion (run_reservoir_rows, which
-    writes them to out when given)."""
+    of all of them from one lockstep recursion (run_reservoir_rows)."""
     cfg0 = replace(cfg, washout_cycles=0)
     mask = make_input_mask(cfg0.k, cfg0.mask_seed)
     states = run_reservoir_rows([series.u for series, _ in group], cfg0,
-                                mask, out)
+                                mask)
     return [fit_and_score(X.entries, series, cfg0, lam, split, part_washout,
                           add_bias)
             for X, (series, split) in zip(states, group)]

@@ -112,7 +112,7 @@ def classify_sequences(y_out, segments):
             raise ConfigurationError(f"segment {j} is empty: [{a}, {b})")
         pred[j] = int(np.argmax(y_out[:, a:b].mean(axis=1)))
         wrong += pred[j] != int(label)
-    return pred, wrong / len(segs)
+    return pred, float(wrong / len(segs))
 
 
 def weights_to_csv(w: ReadoutWeights, path, comment=None):

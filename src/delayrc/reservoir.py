@@ -185,42 +185,35 @@ def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
     (default zeros); it exists so state convergence from perturbed initial
     conditions can be probed.
     """
-    u = np.asarray(u, dtype=float)
-    d = _sample_delay(cfg, mask, u.size)
-    if history is None:
-        history = np.zeros(d)
-    else:
-        history = np.asarray(history, dtype=float)
-        if history.shape != (d,):
-            raise ConfigurationError(f"history must have shape ({d},)")
-    s = _backend.evolve_samples(_kernels.HeldInput(u, mask.values), d, cfg.G,
-                                cfg.M, cfg.beta, cfg.rho, cfg.Phi0, history)
-    X = _states(s, u.size, cfg)
-    return StateMatrix(entries=X[:, cfg.washout_cycles:])
+    return run_reservoir_rows([u], cfg, mask, history)[0]
 
 
 def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
-                       out: np.ndarray | None = None) -> list[StateMatrix]:
-    """run_reservoir on each held input in us (zero history), driven in
-    lockstep: the same states, from one recursion over all rows.
+                       history=None) -> list[StateMatrix]:
+    """run_reservoir on each held input in us, driven in lockstep: the
+    same states, from one recursion over all rows. history, when given,
+    sets the d pre-stream samples of every row (default zeros).
 
     Streams shorter than the longest are zero-padded past their end; by
-    causality that leaves each stream's own samples exact. out, when
-    given, is a rows x (longest stream + d or more) buffer the samples are
-    written to, so one buffer can serve many calls; the returned states
-    are then views of it, valid until it is written again.
+    causality that leaves each stream's own samples exact.
     """
     us = [np.asarray(u, dtype=float) for u in us]
     for u in us:
         d = _sample_delay(cfg, mask, u.size)
     n_max = max(u.size for u in us)
     check_stream_samples(len(us) * n_max * cfg.k, "a lockstep group")
+    if history is None:
+        history = np.zeros(d)
+    else:
+        history = np.asarray(history, dtype=float)
+        if history.shape != (d,):
+            raise ConfigurationError(f"history must have shape ({d},)")
     held = np.zeros((len(us), n_max))
     for row, u in zip(held, us):
         row[:u.size] = u
     s = _backend.evolve_samples(_kernels.HeldInput(held, mask.values), d,
                                 cfg.G, cfg.M, cfg.beta, cfg.rho, cfg.Phi0,
-                                np.zeros(d), out=out)
+                                history)
     return [StateMatrix(_states(row[:u.size * cfg.k], u.size, cfg)
                         [:, cfg.washout_cycles:])
             for row, u in zip(s, us)]

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import sys
 
 import numpy as np
@@ -53,3 +55,18 @@ def hash_tree(root):
 
 def rng_uniform(seed, lo, hi, n):
     return np.random.default_rng(seed).uniform(lo, hi, n)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds,
+    so a call that never returns fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

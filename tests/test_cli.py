@@ -8,7 +8,7 @@ import pytest
 
 from delayrc import cli
 
-from conftest import hash_tree, read_csv_rows
+from conftest import deadline, hash_tree, read_csv_rows
 
 FAST_SS = ["task=sine_square", "task.n_waveforms=4", "task.periods=8",
            "task.washout=2"]
@@ -84,10 +84,12 @@ def test_run_vowels_reports_wer(run_cli):
     code, out, _, outdir = run_cli([
         "run", "task=vowels", "task.n_per_class=4", "task.washout=4"])
     assert code == 0
-    assert "wer_test=" in out
+    # the rate prints as a plain float, as metrics.csv holds it
+    wer = out.split("wer_test=")[1].split()[0]
     _, rows = read_csv_rows(outdir / "metrics.csv")
     metrics = {r[0]: float(r[1]) for r in rows}
     assert 0.0 <= metrics["wer_test"] <= 1.0
+    assert wer == repr(metrics["wer_test"])
 
 
 def test_run_is_deterministic_across_invocations(run_cli):
@@ -281,6 +283,33 @@ def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
         errs.add(err)
     assert len(errs) == 1
     assert "finite" in errs.pop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["regime", "dynamics.G=1e308"],
+    ["cobweb", "dynamics.G=1e308"],
+    ["bifurcation", "dynamics.lo=1e307", "dynamics.hi=1e308",
+     "dynamics.steps=2"],
+])
+def test_map_overflow_exits_3(run_cli, argv):
+    # the phase pi*(x + x_b) of an iterate near 1e308 overflows, and
+    # math.sin(inf) raises
+    with deadline(60):
+        code, _, err, _ = run_cli(["dynamics"] + argv)
+    assert code == 3, err
+    assert "error: map iterates left the finite range" in err
+
+
+def test_bifurcation_with_roots_past_8192_ends(run_cli):
+    # adjacent floats near 1e4 lie farther apart than the bisection
+    # tolerance
+    with deadline(60):
+        code, _, err, outdir = run_cli([
+            "dynamics", "bifurcation", "dynamics.lo=9999", "dynamics.hi=10000",
+            "dynamics.steps=2", "dynamics.N_max=1"])
+    assert code == 0, err
+    _, rows = read_csv_rows(outdir / "bifurcation.csv")
+    assert any(int(r[1]) >= 0 and float(r[2]) > 8192 for r in rows)
 
 
 def test_optimize_width_is_bounded(run_cli):

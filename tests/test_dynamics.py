@@ -22,7 +22,9 @@ from delayrc.dynamics import (
     net_gain,
     step_map,
 )
-from delayrc.exceptions import ConfigurationError
+from delayrc.exceptions import ConfigurationError, NumericsError
+
+from conftest import deadline
 
 
 def osc(G, M=0.983, x_b=0.0, **kw):
@@ -385,6 +387,34 @@ def test_bifurcation_rows_match_cell_loop(monkeypatch):
             assert r.axis_value == o.axis_value
             assert _fp_bits(r.fixed_points) == _fp_bits(o.fixed_points)
             assert _bits(r.orbit) == _bits(o.orbit)
+
+
+def test_fixed_points_past_8192_are_found():
+    # near 1e4 adjacent floats lie farther apart than _BISECT_TOL, so the
+    # bisection must end on adjacent endpoints rather than on the width
+    p = osc(1e4)
+    with deadline(30):
+        fps = fixed_points_of_iterate(p, 1)
+    roots = [fp.x_star for fp in fps]
+    assert roots == sorted(roots) and max(roots) > 8192
+    for r in roots:
+        # |f(r) - r| within what moving r by the final bracket (the
+        # tolerance or one ulp) moves f by: |f'| <= 1.6e4
+        step = max(dynamics._BISECT_TOL, math.ulp(r))
+        assert abs(float(step_map(r, p)) - r) <= 2e4 * step
+
+
+def test_map_overflow_raises_numerics_error():
+    # the phase pi*(x + x_b) of an iterate near 1e308 overflows, and
+    # math.sin(inf) raises; both Python-float loops report it alike
+    p = osc(1e308)
+    errors = []
+    for call in (lambda: iterate(0.1, 5, p),
+                 lambda: dynamics._iterate_n_float(0.1, 5, p)):
+        with pytest.raises(NumericsError) as info:
+            call()
+        errors.append(str(info.value))
+    assert errors == [dynamics.NON_FINITE_ORBIT] * 2
 
 
 def test_map_sizes_are_bounded():

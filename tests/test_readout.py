@@ -187,6 +187,7 @@ def test_classify_error_rate():
     pred, err = classify_sequences(y_out, segments)
     assert np.array_equal(pred, [0, 1, 0, 0])
     assert err == pytest.approx(0.75)
+    assert type(err) is float
 
 
 def test_classify_tie_breaks_to_lowest_index():

@@ -267,11 +267,11 @@ def test_numpy_block_recursion_matches_python_loop():
     mask = make_input_mask(7, 3)
     u = rng.uniform(-1, 1, (_kernels._CHUNK + 907) // 7)
     J = mask_input(u, mask)
-    held = _kernels.HeldInput(u, mask.values)
+    held = _kernels.HeldInput(u[None], mask.values)
     below = _kernels.scalar_below(1)
     for d in (1, 3, below - 1, below, 50, 137, 700, 6000):
         hist = np.zeros(d)
-        a = _kernels.evolve_samples_numpy(held, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
+        a, = _kernels.evolve_samples_numpy(held, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
         s = np.zeros(J.size + d)
         for m in range(J.size):
             s[m + d] = 0.5 * 0.9 * (1 + 0.983 * np.sin(
@@ -287,7 +287,7 @@ def test_numpy_block_recursion_matches_python_loop():
             for kernel in (_kernels.evolve_samples_numpy,
                            _kernels.evolve_samples_scalar,
                            _kernels.evolve_samples_block):
-                assert np.array_equal(kernel(held, *params), ref), (kernel, d)
+                assert np.array_equal(kernel(held, *params)[0], ref), (kernel, d)
 
 
 def _ragged_rows(rng, R, k):
@@ -320,17 +320,17 @@ def test_lockstep_rows_match_loop_bitwise(R):
                     assert np.array_equal(S[i, :ref.size], ref), (kernel, d, i)
 
 
-def test_rows_write_into_a_reused_buffer():
-    rng = np.random.default_rng(4)
+def test_rows_take_one_history_for_every_row():
+    rng = np.random.default_rng(6)
     mask = make_input_mask(7, 2)
-    us, _ = _ragged_rows(rng, 3, 7)
-    out = np.full((3, max(u.size for u in us) * 7 + 60), np.nan)
-    for d in (60, 5, 33):   # a shorter delay after a longer one
-        c = cfg_for(k=7, tau=float(d))
-        states = run_reservoir_rows(us, c, mask, out=out)
-        for X, u in zip(states, us):
-            assert np.shares_memory(X.entries, out)
-            assert np.array_equal(X.entries, run_reservoir(u, c, mask).entries)
+    us, _ = _ragged_rows(rng, 2, 7)
+    c = cfg_for(k=7, tau=33.0)
+    h = rng.uniform(0, 1, 33)
+    for X, u in zip(run_reservoir_rows(us, c, mask, history=h), us):
+        assert np.array_equal(X.entries,
+                              run_reservoir(u, c, mask, history=h).entries)
+    with pytest.raises(ConfigurationError, match="history"):
+        run_reservoir_rows(us, c, mask, history=np.zeros(32))
 
 
 def test_rows_check_every_stream():
