@@ -11,13 +11,13 @@ below _kernels.scalar_below(rows) and the block recursion otherwise; the
 numba kernel compiles the plain loop. All of them produce
 bitwise-identical streams. The recursion section times each strategy on
 one stream at several delays, checks that they agree, and scans d for the
-delay from which the block recursion is faster than the loop: the
-crossover the first entry of _SCALAR_BELOW is set from.
+delay from which the block recursion is faster than the loop on one
+stream.
 
 The lockstep section times R rows driven together against the same R
-rows one at a time, per row, for R = 1..5, and scans d for the crossover
-at each R: the entries of _SCALAR_BELOW. It also prints how many rows of
-the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
+rows one at a time, per row, for R = 1..5, and scans d from 2 for the
+crossover at each R: the entries of _SCALAR_BELOW. It also prints how
+many rows of the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -255,7 +255,7 @@ def bench_lockstep(n):
                   f"{'bitwise' if same else 'DIFFER'}")
 
     n_scan = n // 4
-    ds = list(range(8, 49, 2))
+    ds = list(range(2, 49, 2))
     print(f"\nblock/scalar time ratio by rows, {n_scan // K * K:,} samples "
           "per row; crossover: first d from which the block recursion is "
           "faster at every larger d scanned")

@@ -227,22 +227,27 @@ def _grid_images(p: OscillatorParams) -> dict:
 def _grid_image(p: OscillatorParams, N: int):
     """(xs, f^N(xs)) on the bracketing grid, both read-only and shared by
     every call with p. f^N(xs) is step_map applied to f^(N-1)(xs), the
-    operations iterate_n(xs, N, p) performs, so it is bitwise the same."""
+    operations iterate_n(xs, N, p) performs, so it is bitwise the same.
+    An image that leaves the finite range holds inf or nan, quietly: the
+    scalar map reports the overflow (NumericsError)."""
     images = _grid_images(p)
     for n in range(1, N + 1):
         if n not in images:
-            y = step_map(images[n - 1], p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = step_map(images[n - 1], p)
             y.setflags(write=False)
             images.setdefault(n, y)
     return images[0], images[N]
 
 
 def _orbit_multiplier(x_star, period, p):
+    # a product past the float range is inf (unstable), quietly
     mult = 1.0
     x = x_star
-    for _ in range(period):
-        mult *= abs(map_derivative(x, p))
-        x = float(step_map(x, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(period):
+            mult *= abs(map_derivative(x, p))
+            x = float(step_map(x, p))
     return mult
 
 

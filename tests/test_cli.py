@@ -2,16 +2,20 @@
 
 import fcntl
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delayrc import cli
+from delayrc import _kernels, cli
 
 from conftest import deadline, hash_tree, read_csv_rows
 
 FAST_SS = ["task=sine_square", "task.n_waveforms=4", "task.periods=8",
            "task.washout=2"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 DDE = ["dynamics.P_max=0.0003", "dynamics.G_star=1866.6666666666667"]
 
 
@@ -268,16 +272,21 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
-    # d=10 runs the scalar loop (math.sin(inf) raises), d=50 the block
-    # recursion (np.sin(inf) is nan); a two-row sweep runs them in
-    # lockstep: every case ends in the same error
+    # a run drives one row, a two-repeat sweep two rows in lockstep; each
+    # runs the scalar loop (math.sin(inf) raises) one sample below the
+    # crossover of its row count and the block recursion (np.sin(inf) is
+    # nan) from it on: every case ends in the same error
+    k = 50   # the default reservoir.k
     base = ["task=narma10", "task.length=200", "task.washout=5",
             "reservoir.G=1e308"]
+    cases = []
+    for rows, argv in ((1, ["run", "reservoir.tau_over_T={}"]),
+                       (2, ["sweep-delay", "sweep.grid={}", "sweep.repeats=2"])):
+        below = _kernels.scalar_below(rows)
+        for d in (below - 1, below):
+            cases.append([a.format(d / k) for a in argv])
     errs = set()
-    for argv in (["run", "reservoir.tau_over_T=0.2"],
-                 ["run", "reservoir.tau_over_T=1.0"],
-                 ["sweep-delay", "sweep.grid=0.2", "sweep.repeats=2"],
-                 ["sweep-delay", "sweep.grid=1.0", "sweep.repeats=2"]):
+    for argv in cases:
         code, _, err, _ = run_cli(argv + base)
         assert code == 3, err
         errs.add(err)
@@ -291,13 +300,19 @@ def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
     ["bifurcation", "dynamics.lo=1e307", "dynamics.hi=1e308",
      "dynamics.steps=2"],
 ])
-def test_map_overflow_exits_3(run_cli, argv):
+def test_map_overflow_exits_3(tmp_path, argv):
     # the phase pi*(x + x_b) of an iterate near 1e308 overflows, and
-    # math.sin(inf) raises
-    with deadline(60):
-        code, _, err, _ = run_cli(["dynamics"] + argv)
-    assert code == 3, err
+    # math.sin(inf) raises. A fresh interpreter, so stderr holds any
+    # warning numpy prints on the way, as a user would see it
+    env = {**os.environ, "DELAYRC_OUTDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(
+               p for p in [SRC, os.environ.get("PYTHONPATH", "")] if p)}
+    proc = subprocess.run([sys.executable, "-m", "delayrc", "dynamics"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    err = proc.stderr
+    assert proc.returncode == 3, err
     assert "error: map iterates left the finite range" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_bifurcation_with_roots_past_8192_ends(run_cli):

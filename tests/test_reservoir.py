@@ -307,13 +307,17 @@ def test_lockstep_rows_match_loop_bitwise(R):
     us, padded = _ragged_rows(rng, R, 7)
     held = _kernels.HeldInput(padded, mask.values)
     below = _kernels.scalar_below(R)
-    for d in (1, 3, below - 1, below, 50, 137, 700):
+    # 4500 samples is longer than one chunk and shorter than every stream
+    for d in (1, 3, below - 1, below, 50, 137, 700, 4500):
         for H in (np.zeros((R, d)), rng.uniform(0, 1, (R, d))):
             params = (d, 1.1, 0.983, 0.85, 0.9, 0.63)
             for kernel in (_kernels.evolve_samples_numpy,
                            _kernels.evolve_samples_scalar,
                            _kernels.evolve_samples_block):
                 S = kernel(held, *params, H)
+                # C-contiguous rows x samples: every row reshapes as a view
+                assert S.shape == (R, held.size // R), kernel
+                assert S.flags.c_contiguous, kernel
                 for i, u in enumerate(us):
                     ref = _kernels.evolve_samples_loop(mask_input(u, mask),
                                                        *params, H[i])
