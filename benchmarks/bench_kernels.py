@@ -2,22 +2,25 @@
 """Timing of the sample-recursion kernels and of the map-dynamics stages.
 
 The reservoir update is an inherently sequential recursion (each sample
-feeds back d steps later). The numpy path has two strategies: a per-sample
-loop on Python floats, and a block recursion that advances d samples per
-round of numpy calls. Both take the held input u and the mask and form the
-masked input chunk by chunk; u holds rows x cycles (one stream is one
-row), and rows run in lockstep. evolve_samples_numpy runs the loop for d
-below _kernels.scalar_below(rows) and the block recursion otherwise; the
-numba kernel compiles the plain loop. All of them produce
-bitwise-identical streams. The recursion section times each strategy on
-one stream at several delays, checks that they agree, and scans d for the
-delay from which the block recursion is faster than the loop on one
+feeds back d steps later). The numpy kernel, evolve_samples_numpy, takes
+the held input u and the mask and forms the masked input chunk by chunk;
+u holds rows x cycles (one stream is one row), and rows run in lockstep,
+interleaved in one buffer. Each chunk runs as a per-sample loop on Python
+floats when the block width d*rows is below _kernels._LOOP_BELOW, and as
+a block recursion that advances d samples of every row per round of numpy
+calls otherwise; the numba kernel compiles the plain loop. All of them
+produce bitwise-identical streams. This script times each strategy by
+setting _kernels._LOOP_BELOW for the call (0 runs blocks only, 10**9 the
+loop only) and restoring it. The recursion section times both strategies
+on one stream at several delays, checks that they agree, and scans d for
+the block width from which the blocks are faster than the loop on one
 stream.
 
 The lockstep section times R rows driven together against the same R
-rows one at a time, per row, for R = 1..5, and scans d from 2 for the
-crossover at each R: the entries of _SCALAR_BELOW. It also prints how
-many rows of the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
+rows one at a time, per row, for R = 1..5, and scans d at block widths
+d*R up to 48 for the crossover width at each R, and their median: what
+_LOOP_BELOW is set from. It also prints how many rows
+of the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -33,6 +36,7 @@ Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -60,12 +64,28 @@ def bench(fn, J, d, history, repeats=3):
     return best, out
 
 
+def strategy(loop_below):
+    """evolve_samples_numpy with _kernels._LOOP_BELOW set to loop_below for
+    the call and restored after it."""
+    def run(*args):
+        saved = _kernels._LOOP_BELOW
+        _kernels._LOOP_BELOW = loop_below
+        try:
+            return _kernels.evolve_samples_numpy(*args)
+        finally:
+            _kernels._LOOP_BELOW = saved
+    return run
+
+
+loop, blocks = strategy(10**9), strategy(0)
+
+
 def crossover(J, ds):
-    """Block-to-scalar time ratio at each d in ds, and the first d from
-    which the block recursion is faster at every larger d scanned (None if
-    it never is)."""
-    ratios = [bench(_kernels.evolve_samples_block, J, d, np.zeros(d))[0]
-              / bench(_kernels.evolve_samples_scalar, J, d, np.zeros(d))[0]
+    """Blocks-to-loop time ratio at each d in ds, and the first d from
+    which the blocks are faster at every larger d scanned (None if they
+    never are)."""
+    ratios = [bench(blocks, J, d, np.zeros(d))[0]
+              / bench(loop, J, d, np.zeros(d))[0]
               for d in ds]
     for i in range(len(ds)):
         if all(r < 1.0 for r in ratios[i:]):
@@ -178,7 +198,7 @@ def bench_dynamics():
 
 def bench_recursion(n):
     J = held_input(1, n)
-    below = _kernels.scalar_below(1)
+    below = _kernels._LOOP_BELOW
 
     if _kernels.HAVE_NUMBA:
         # trigger compilation outside the timed region
@@ -187,29 +207,29 @@ def bench_recursion(n):
         print("numba not importable; showing the numpy path only")
 
     print(f"sample recursion, n={J.size:,} samples, "
-          f"numpy path picks scalar for d < {below}")
-    print(f"{'d':>6} {'scalar (ms)':>12} {'block (ms)':>12} {'picked':>7} "
+          f"numpy path picks the loop for d*rows < {below}")
+    print(f"{'d':>6} {'loop (ms)':>12} {'blocks (ms)':>12} {'picked':>7} "
           f"{'numba (ms)':>11}  match")
     for d in (1, 8, 14, below - 1, below, 62, 1000):
         history = np.zeros(d)
-        t_sc, out_sc = bench(_kernels.evolve_samples_scalar, J, d, history)
-        t_bl, out_bl = bench(_kernels.evolve_samples_block, J, d, history)
-        same = np.array_equal(out_sc, out_bl)
+        t_lp, out_lp = bench(loop, J, d, history)
+        t_bl, out_bl = bench(blocks, J, d, history)
+        same = np.array_equal(out_lp, out_bl)
         nb = "-"
         if _kernels.HAVE_NUMBA:
             t_nb, out_nb = bench(_kernels.evolve_samples_compiled, J, d,
                                  history)
-            same = same and np.array_equal(out_sc, out_nb)
+            same = same and np.array_equal(out_lp, out_nb)
             nb = f"{t_nb * 1e3:.1f}"
-        picked = "scalar" if d < below else "block"
-        print(f"{d:>6} {t_sc * 1e3:>12.1f} {t_bl * 1e3:>12.1f} {picked:>7} "
+        picked = "loop" if d < below else "blocks"
+        print(f"{d:>6} {t_lp * 1e3:>12.1f} {t_bl * 1e3:>12.1f} {picked:>7} "
               f"{nb:>11}  {'bitwise' if same else 'DIFFER'}")
 
-    ds = list(range(16, 65, 4))
+    ds = list(range(4, 49, 2))
     ratios, cross = crossover(J, ds)
-    print("\nblock/scalar time ratio: "
+    print("\nblocks/loop time ratio: "
           + " ".join(f"{d}:{r:.2f}" for d, r in zip(ds, ratios)))
-    print(f"block recursion faster from d = {cross}")
+    print(f"blocks faster from block width {cross}")
 
     dde_n = 200_000
     pre = np.zeros(dde_n + 1)
@@ -232,7 +252,7 @@ def bench_recursion(n):
 
 def bench_lockstep(n):
     """R rows in lockstep against the same rows one at a time, and the
-    scalar/block crossover at each R."""
+    loop/blocks crossover width at each R."""
     rows = (1, 2, 3, 4, 5)
     print(f"lockstep recursion, {n // K * K:,} samples per row, k={K}, "
           "best of 3, ms per row (numpy dispatch at each d)")
@@ -255,15 +275,21 @@ def bench_lockstep(n):
                   f"{'bitwise' if same else 'DIFFER'}")
 
     n_scan = n // 4
-    ds = list(range(2, 49, 2))
-    print(f"\nblock/scalar time ratio by rows, {n_scan // K * K:,} samples "
-          "per row; crossover: first d from which the block recursion is "
-          "faster at every larger d scanned")
+    print(f"\nblocks/loop time ratio by rows at each d, {n_scan // K * K:,} "
+          "samples per row; crossover: first block width d*R from which the "
+          "blocks are faster at every larger d scanned")
+    widths = []
     for R in rows:
+        ds = list(range(max(1, 4 // R), 48 // R + 1))
         ratios, cross = crossover(held_input(R, n_scan, seed=R), ds)
-        print(f"R={R}: crossover {cross} (_SCALAR_BELOW "
-              f"{_kernels.scalar_below(R)}); "
+        if cross is not None:
+            widths.append(cross * R)
+        print(f"R={R}: crossover width "
+              f"{'-' if cross is None else cross * R}; "
               + " ".join(f"{d}:{r:.2f}" for d, r in zip(ds, ratios)))
+    median = statistics.median(widths) if widths else None
+    print(f"median crossover width {median} (_LOOP_BELOW "
+          f"{_kernels._LOOP_BELOW})")
 
     width = max(tasks.gen_sine_square(seed=s).n_steps for s in range(5)) * K + 100
     print(f"\nhyperopt._LOCKSTEP_BYTES = {hyperopt._LOCKSTEP_BYTES:,} B holds "

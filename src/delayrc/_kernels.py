@@ -10,37 +10,38 @@ states as a view. The numpy path never forms J whole: it forms
 rho*(u*mask), the product rho*J gave, one chunk of whole cycles at a time,
 the rows interleaved sample-major (sample m of row r at m*rows + r).
 
-Within a chunk the numpy path runs one of two strategies, chosen by the
-delay d and the number of rows: for d below scalar_below(rows) a per-sample
-loop on Python floats, row by row; otherwise a block recursion in steps of
-at most d samples, inside which all dependencies are already resolved. A
-block no longer than d reads only earlier samples, so blocks may restart at
-any chunk boundary. The block recursion keeps the d samples it reads back
-and the chunk it writes interleaved in one buffer, so a block of every row
-is one contiguous slice, and it makes the eight numpy calls of the loop's
-eight operations per block, allocating nothing. At short delays that call
-overhead costs more than the plain loop, and lockstep rows share it. numba
-compiles the plain loop and runs it row by row on the formed J. All
-strategies and both backends give bitwise-identical samples. Backend
-selection lives in _backend.
+The numpy path keeps the d*rows samples it reads back and the chunk it
+writes in one buffer in that same layout, so the sample d back of a row
+sits d*rows entries back. Each chunk runs one of two strategies on that
+buffer, picked by the block width d*rows alone: below _LOOP_BELOW a
+per-sample loop on Python floats over the interleaved chunk; otherwise a
+block recursion in steps of d*rows entries, inside which all dependencies
+are already resolved, making the eight numpy calls of the loop's eight
+operations per block and allocating nothing. A block no longer than d
+samples reads only earlier samples, so blocks may restart at any chunk
+boundary. At narrow blocks the call overhead costs more than the plain
+loop. numba compiles the plain loop and runs it row by row on the formed
+J. All strategies and both backends give bitwise-identical samples.
+Backend selection lives in _backend.
 
-A state that leaves the finite range comes out as nan on every path
-(np.sin(inf) is nan; the scalar loop, where math.sin(inf) raises, fills
-the rest of the row with nan); callers check the samples they keep.
+A state that leaves the finite range comes out as nan on every path,
+where the plain loop's np.sin(inf) gives it: a chunk in which math.sin(inf)
+raises runs again as blocks. Callers check the samples they keep.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-# d below which evolve_samples_numpy steps sample by sample, for 1, 2, ...
-# lockstep rows (the last entry holds for more rows): the two strategies
-# take equal time near these delays (numpy 2.4, 2-core x86 host; median of
-# three benchmarks/bench_kernels.py --section lockstep scans, BENCH_8.json)
-_SCALAR_BELOW = (20, 10, 6, 6, 4)
-# samples per chunk of formed input: bounds the scalar loop's Python lists
-# and the block recursion's buffer to about _CHUNK + d floats per row
+# block width d*rows below which evolve_samples_numpy steps a chunk sample
+# by sample: the two strategies take equal time near it at every row count
+# (numpy 2.4, 2-core x86 host; median of three benchmarks/bench_kernels.py
+# --section lockstep scans, BENCH_9.json)
+_LOOP_BELOW = 20
+# samples per chunk of formed input: bounds the loop's Python list and the
+# recursion's buffer to about _CHUNK + d floats per row
 _CHUNK = 4096
 
 
@@ -61,10 +62,6 @@ def masked(u, mask) -> np.ndarray:
     sample i + n k of each row."""
     x = u[..., None] * mask
     return x.reshape(x.shape[:-2] + (-1,))
-
-
-def scalar_below(rows: int) -> int:
-    return _SCALAR_BELOW[min(rows, len(_SCALAR_BELOW)) - 1]
 
 
 def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
@@ -91,14 +88,6 @@ def _chunks(J, rho):
         yield c * J.mask.size, rho * (u[:, None, :] * J.mask[:, None]).ravel()
 
 
-def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
-    """The numpy-path sample recursion of every row of J: the scalar loop
-    for d below scalar_below(rows), the block recursion otherwise. Returns
-    samples s(0).. of each row (rows x n)."""
-    kernel = evolve_samples_scalar if d < scalar_below(len(J.u)) else evolve_samples_block
-    return kernel(J, d, G, M, beta, rho, Phi0, history)
-
-
 def _output(J, d, history):
     """The rows x n states to fill, and each row's history s(-d)..s(-1)."""
     rows, cycles = J.u.shape
@@ -106,36 +95,27 @@ def _output(J, d, history):
             np.broadcast_to(history, (rows, d)))
 
 
-def evolve_samples_scalar(J, d, G, M, beta, rho, Phi0, history):
-    # per-sample loop over chunks, row by row; s holds the d samples
-    # carried from the previous chunk, then this chunk's samples, so s[-d]
-    # is s(m - d)
-    out, histories = _output(J, d, history)
-    half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
+def _loop(buf, x, dR, half_G, M, beta, Phi0):
+    """Step the chunk x sample by sample on Python floats into buf after
+    its dR carried samples; False, with buf untouched, where math.sin(inf)
+    raises."""
+    s = buf[:dR].tolist()
     pi, sin = math.pi, math.sin
-    for row, u, h in zip(out, J.u, histories):
-        carry = h.tolist()
-        for c, x in _chunks(HeldInput(u[None], J.mask), rho):
-            s = carry
-            try:
-                for xm in x.tolist():
-                    s.append(half_G * (1.0 + M * sin(pi * (beta * s[-d] + xm) + Phi0)))
-            except ValueError:   # math.sin(inf): nan here and after
-                row[c:c + len(s) - d] = s[d:]
-                row[c + len(s) - d:] = np.nan
-                break
-            row[c:c + len(s) - d] = s[d:]
-            carry = s[-d:]
-    return out
+    try:
+        for xm in x.tolist():
+            s.append(half_G * (1.0 + M * sin(pi * (beta * s[-dR] + xm) + Phi0)))
+    except ValueError:
+        return False
+    buf[dR:dR + x.size] = s[dR:]
+    return True
 
 
-def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history):
-    # block recursion: samples [b, b+d) depend only on samples < b. The rows
-    # are interleaved sample-major in buf (sample m of row r at m*R + r,
-    # the d history samples first), so a block of every row is one slice.
-    # Each block makes the eight operations of the loop in its order, on
-    # 0-d constants and into the scratch t, so it allocates nothing; the
-    # slices are made once for a whole chunk and reused by every chunk.
+def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
+    """The numpy-path sample recursion of every row of J. Returns samples
+    s(0).. of each row (rows x n)."""
+    # buf: the d*R entries read back, then the chunk, sample m of row r at
+    # m*R + r. A block makes the loop's eight operations in its order, on
+    # 0-d constants into the scratch t, so it allocates nothing.
     out, histories = _output(J, d, history)
     R, n = out.shape
     w = min(n, _chunk_cycles(J.mask.size) * J.mask.size) * R   # per chunk
@@ -144,31 +124,34 @@ def evolve_samples_block(J, d, G, M, beta, rho, Phi0, history):
     x = np.empty(w)
     t = np.empty(min(dR, w))
     buf[:dR].reshape(d, R)[...] = histories.T
+    half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
     c_beta, c_pi, c_Phi0, c_M, c_one, c_half_G = (
-        np.array(float(v)) for v in (beta, np.pi, Phi0, M, 1.0, 0.5 * G))
+        np.array(v) for v in (beta, math.pi, Phi0, M, 1.0, half_G))
     multiply, add, sin = np.multiply, np.add, np.sin
 
+    @functools.cache
     def blocks(m):
-        """Per block of the first m samples of a chunk: the samples d back,
-        its rho*J, the scratch and the samples it writes."""
+        """Per block of the first m entries of a chunk: the entries d*R
+        back, its rho*J, the scratch and the entries it writes."""
         spans = [(b, min(b + dR, m)) for b in range(0, m, dR)]
         return [(buf[b:e], x[b:e], t[:e - b], buf[b + dR:e + dR])
                 for b, e in spans]
 
-    full = blocks(w)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, xc in _chunks(J, rho):
             m = xc.size
-            x[:m] = xc
-            for s, xs, ts, s_new in (full if m == w else blocks(m)):
-                multiply(s, c_beta, ts)
-                add(ts, xs, ts)
-                multiply(ts, c_pi, ts)
-                add(ts, c_Phi0, ts)
-                sin(ts, ts)
-                multiply(ts, c_M, ts)
-                add(ts, c_one, ts)
-                multiply(ts, c_half_G, s_new)
+            if not (dR < _LOOP_BELOW
+                    and _loop(buf, xc, dR, half_G, M, beta, Phi0)):
+                x[:m] = xc
+                for s, xs, ts, s_new in blocks(m):
+                    multiply(s, c_beta, ts)
+                    add(ts, xs, ts)
+                    multiply(ts, c_pi, ts)
+                    add(ts, c_Phi0, ts)
+                    sin(ts, ts)
+                    multiply(ts, c_M, ts)
+                    add(ts, c_one, ts)
+                    multiply(ts, c_half_G, s_new)
             out[:, c:c + m // R] = buf[dR:dR + m].reshape(-1, R).T
             buf[:dR] = buf[m:m + dR]
     return out

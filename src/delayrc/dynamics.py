@@ -14,6 +14,7 @@ discrete limit.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -334,11 +335,15 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
     rows = []
     for v in np.linspace(a, b, steps):
         pv = _with_axis(p, axis, v)
-        fps = []
+        # keep a point more than 1e-8 from every kept x_star; xs holds those
+        # sorted, so (subtraction being monotone) its two neighbours decide
+        fps, xs = [], []
         for N in range(1, N_max + 1):
             for fp in fixed_points_of_iterate(pv, N):
-                if all(abs(fp.x_star - g.x_star) > 1e-8 for g in fps):
+                i = bisect.bisect(xs, fp.x_star)
+                if all(abs(fp.x_star - g) > 1e-8 for g in xs[max(i - 1, 0):i + 1]):
                     fps.append(fp)
+                    xs.insert(i, fp.x_star)
         traj = iterate(0.1, transient + orbit_samples, pv)
         rows.append(BifurcationRow(float(v), tuple(fps), traj[-orbit_samples:]))
     return rows
@@ -387,7 +392,8 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     history must be callable on [-tau, 0]. Returns (t, V) arrays sampled at
     multiples of dt; with T_R = 0 the relation is enforced pointwise and the
     trace at multiples of tau reproduces the discrete map exactly.
-    duration/dt may be at most _DDE_MAX_STEPS steps.
+    duration/dt may be at most _DDE_MAX_STEPS steps; a trace that leaves
+    the finite range raises NumericsError.
     """
     for name, v in (("duration", duration), ("dt", dt)):
         if not (math.isfinite(v) and v > 0):
@@ -419,8 +425,12 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     V0 = float(history(0.0))
     if not (math.isfinite(V0) and np.all(np.isfinite(pre))):
         raise ConfigurationError("history must be finite on [-tau, 0]")
-    V = _backend.dde_euler(n_steps, dt, q, p.T_R, 0.5 * p.G_star * p.P_max,
-                           p.M, 1.0 / p.V_pi, p.x_b, pre, V0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = _backend.dde_euler(n_steps, dt, q, p.T_R, 0.5 * p.G_star * p.P_max,
+                               p.M, 1.0 / p.V_pi, p.x_b, pre, V0)
+    if not np.all(np.isfinite(V)):
+        raise NumericsError("the DDE trace left the finite range; lower "
+                            "G_star*P_max or raise V_pi")
     return np.arange(n_steps + 1) * dt, V
 
 

@@ -1,6 +1,7 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
 import fcntl
+import math
 import os
 import subprocess
 import sys
@@ -273,16 +274,16 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
     # a run drives one row, a two-repeat sweep two rows in lockstep; each
-    # runs the scalar loop (math.sin(inf) raises) one sample below the
-    # crossover of its row count and the block recursion (np.sin(inf) is
-    # nan) from it on: every case ends in the same error
+    # runs the per-sample loop (math.sin(inf) raises) one sample below the
+    # crossover of its block width d*rows and the block recursion
+    # (np.sin(inf) is nan) from it on: every case ends in the same error
     k = 50   # the default reservoir.k
     base = ["task=narma10", "task.length=200", "task.washout=5",
             "reservoir.G=1e308"]
     cases = []
     for rows, argv in ((1, ["run", "reservoir.tau_over_T={}"]),
                        (2, ["sweep-delay", "sweep.grid={}", "sweep.repeats=2"])):
-        below = _kernels.scalar_below(rows)
+        below = math.ceil(_kernels._LOOP_BELOW / rows)
         for d in (below - 1, below):
             cases.append([a.format(d / k) for a in argv])
     errs = set()
@@ -302,17 +303,36 @@ def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
 ])
 def test_map_overflow_exits_3(tmp_path, argv):
     # the phase pi*(x + x_b) of an iterate near 1e308 overflows, and
-    # math.sin(inf) raises. A fresh interpreter, so stderr holds any
-    # warning numpy prints on the way, as a user would see it
-    env = {**os.environ, "DELAYRC_OUTDIR": str(tmp_path),
-           "PYTHONPATH": os.pathsep.join(
-               p for p in [SRC, os.environ.get("PYTHONPATH", "")] if p)}
-    proc = subprocess.run([sys.executable, "-m", "delayrc", "dynamics"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
-    err = proc.stderr
-    assert proc.returncode == 3, err
+    # math.sin(inf) raises
+    code, err = run_fresh(tmp_path, ["dynamics"] + argv)
+    assert code == 3, err
     assert "error: map iterates left the finite range" in err
     assert "RuntimeWarning" not in err
+
+
+def run_fresh(outdir, argv):
+    """(exit code, stderr) of the CLI in a fresh interpreter, so stderr
+    holds any warning numpy prints on the way, as a user would see it."""
+    env = {**os.environ, "DELAYRC_OUTDIR": str(outdir),
+           "PYTHONPATH": os.pathsep.join(
+               p for p in [SRC, os.environ.get("PYTHONPATH", "")] if p)}
+    proc = subprocess.run([sys.executable, "-m", "delayrc"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # the drive overflows to inf
+    ["dynamics.P_max=1e200", "dynamics.G_star=1e200"],
+    # 1/V_pi is inf, and the phase of a zero trace 0*inf is nan
+    DDE + ["dynamics.V_pi=1e-320"],
+])
+def test_dde_overflow_exits_3(tmp_path, argv):
+    code, err = run_fresh(tmp_path, ["dynamics", "dde", "dde.duration=1"] + argv)
+    assert code == 3, err
+    assert "error: the DDE trace left the finite range" in err
+    assert "RuntimeWarning" not in err
+    assert sorted(os.listdir(tmp_path)) == ["effective.cfg"]
 
 
 def test_bifurcation_with_roots_past_8192_ends(run_cli):

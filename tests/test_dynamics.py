@@ -446,6 +446,48 @@ def test_bifurcation_sweep_rows():
         assert np.all(np.asarray(r.orbit) <= 0.5 * r.axis_value * (1 + 0.983) + 1e-9)
 
 
+def _all_pairs(points):
+    """The points kept by comparing each with every point kept before it."""
+    kept = []
+    for fp in points:
+        if all(abs(fp.x_star - g.x_star) > 1e-8 for g in kept):
+            kept.append(fp)
+    return kept
+
+
+def _branches(points):
+    return [(fp.x_star, fp.period, fp.stable) for fp in points]
+
+
+@pytest.mark.parametrize("G", [0.93, 1.49, 1000.0])
+def test_bifurcation_keeps_the_points_of_the_all_pairs_rule(G):
+    # iterate N re-finds the points of every period dividing N, each a
+    # near-duplicate of one kept before; G=1000 gives about 1000 roots per N
+    rows = bifurcation_sweep("G", (G, G * 1.01), 2, osc(1.0), N_max=3,
+                             transient=10, orbit_samples=1)
+    for r in rows:
+        found = [fp for N in range(1, 4)
+                 for fp in fixed_points_of_iterate(osc(r.axis_value), N)]
+        assert _branches(r.fixed_points) == _branches(_all_pairs(found))
+        assert len(r.fixed_points) < len(found)
+
+
+def test_bifurcation_dedup_at_the_tolerance(monkeypatch):
+    # clusters of points spaced at and around 1e-8, in shuffled order
+    rng = np.random.default_rng(5)
+    offsets = [0.0, 0.0, 5e-9, 1e-8, math.nextafter(1e-8, 1.0), -1e-8,
+               -1.5e-8, 2e-8, 3e-8]
+    xs = (rng.uniform(0, 1, 200)[:, None] + offsets).ravel()
+    per_N = {N: [FixedPoint(float(x), N, bool(N % 2), 0.5)
+                 for x in rng.permutation(xs)[:1500]] for N in (1, 2, 3)}
+    monkeypatch.setattr(dynamics, "fixed_points_of_iterate",
+                        lambda p, N: per_N[N])
+    r, _ = bifurcation_sweep("G", (0.5, 0.6), 2, osc(1.0), N_max=3,
+                             transient=10, orbit_samples=1)
+    expected = _all_pairs(per_N[1] + per_N[2] + per_N[3])
+    assert _branches(r.fixed_points) == _branches(expected)
+
+
 def test_bifurcation_orbit_collapses_when_stable():
     rows = bifurcation_sweep("G", (0.5, 0.6), 3, osc(1.0), transient=4000,
                              orbit_samples=64)

@@ -413,9 +413,9 @@ def test_resonance_sweep_runs_ragged_seeds_in_lockstep(monkeypatch,
     monkeypatch.setattr(pipeline, "evaluate_rows", recording)
     base = dict(rho=0.9, G=0.56, Phi0=0.2, lam=1e-6)
     # 0.502 lands on d=25 like 0.5 and is collapsed; d=13 runs the block
-    # recursion in groups of two or more rows and the scalar loop in one
-    # row, as in the one-row evaluations below; the others run the block
-    # recursion
+    # recursion in groups of two or more rows and the per-sample loop in
+    # one row, as in the one-row evaluations below; the others run the
+    # block recursion
     grid = (0.26, 0.5, 0.502, 1.0, 2.0)
     rows = resonance_sweep("sine_square", base, grid, repeats=5,
                            task_options=opts)
