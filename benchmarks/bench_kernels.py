@@ -25,10 +25,11 @@ of the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
 iterate behind each orbit, and a 31-value sweep over the CLI's default
-range (G over [0.1, 1.6]), also given per axis value and split into the
-grid images, bisection, period check and orbits. It also times a
-2,000,000-step integrate_dde call. Run it with PYTHONPATH pointing at
-another checkout's src to time that version.
+range (G over [0.1, 1.6]), also given per axis value, then the same sweep
+with its CSV written, split into the grid images, bisection, period check,
+orbits and CSV emission; that CSV must be bitwise the one an unwrapped
+run writes. It also times a 2,000,000-step integrate_dde call. Run it
+with PYTHONPATH pointing at another checkout's src to time that version.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
   S is recursion, lockstep, dynamics or all (default). n_samples is per
@@ -37,7 +38,9 @@ Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
 
 import argparse
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -103,15 +106,18 @@ def best_ms(fn, *args, repeats=5):
 
 
 # dynamics function -> the sweep stage its calls belong to. Versions of the
-# module differ in which of these exist: older ones map the grid and check
-# periods through iterate_n, whose calls are told apart by their argument
-# (an array is the grid, a scalar a period check). Missing names are skipped.
+# module differ in which of these exist: older ones bisect each cell on its
+# own (_bisect), and older still map the grid and check periods through
+# iterate_n, whose calls are told apart by their argument (an array is the
+# grid, a scalar a period check). Missing names are skipped.
 SWEEP_STAGES = {
     "_grid_image": "grid",
+    "_bisect_all": "bisection",
     "_bisect": "bisection",
     "_iterate_n_float": "period check",
     "iterate_n": lambda x, *_: "grid" if np.ndim(x) else "period check",
     "iterate": "orbit",
+    "bifurcation_to_csv": "csv",
 }
 
 
@@ -119,7 +125,8 @@ def split_sweep(sweep):
     """Run sweep() once with SWEEP_STAGES wrapped; return (total ms,
     {stage: ms}). A call made inside another wrapped call counts toward the
     outer one, so bisection includes the maps it evaluates."""
-    ms = dict.fromkeys(("grid", "bisection", "period check", "orbit"), 0.0)
+    ms = dict.fromkeys(("grid", "bisection", "period check", "orbit", "csv"),
+                       0.0)
     depth = [0]
 
     def wrap(fn, stage):
@@ -175,8 +182,18 @@ def bench_dynamics():
     t = best_ms(dynamics.bifurcation_sweep, *args, repeats=3)
     print(f"\nbifurcation_sweep G over [0.1, 1.6], {steps} axis values, "
           f"N_max 8, best of 3: {t:.1f} ms, {t / steps:.1f} ms per value")
-    total, ms = split_sweep(lambda: dynamics.bifurcation_sweep(*args))
-    print(f"one more sweep, split by stage (wrapped, {total:.1f} ms): "
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{i}.csv") for i in range(2)]
+
+        def sweep_to_csv(path):
+            dynamics.bifurcation_to_csv(dynamics.bifurcation_sweep(*args),
+                                        path)
+        sweep_to_csv(paths[0])
+        total, ms = split_sweep(lambda: sweep_to_csv(paths[1]))
+        csv = [p.read_bytes() for p in paths]
+    print(f"one more sweep with its CSV ({len(csv[1]):,} B, "
+          f"{'bitwise' if csv[0] == csv[1] else 'DIFFER'} to an unwrapped "
+          f"run), split by stage (wrapped, {total:.1f} ms): "
           + ", ".join(f"{k} {v:.1f}" for k, v in ms.items())
           + f", other {total - sum(ms.values()):.1f} ms")
 

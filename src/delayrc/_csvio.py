@@ -10,7 +10,14 @@ import os
 
 
 def fmt(v) -> str:
-    # numpy scalars first: in numpy >= 2 their repr is not round-trip clean
+    # the exact built-in types first, as they are the most common; then
+    # numpy scalars, whose repr in numpy >= 2 is not round-trip clean
+    if type(v) is float:
+        return repr(v)
+    if v is None:
+        return ""
+    if type(v) is int:
+        return str(v)
     item = getattr(v, "item", None)
     if item is not None:
         v = item()
@@ -49,5 +56,5 @@ def write_csv(path, header, rows, comment=None):
             fh.write("# " + comment + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(fmt, row)) + "\n")
     write_atomic(path, fill)

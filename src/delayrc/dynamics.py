@@ -10,6 +10,17 @@ provides the map itself, fixed-point and stability analysis for its
 iterates, cobweb and bifurcation data, a regime classifier, and an explicit
 integrator for the underlying delay-differential model used to validate the
 discrete limit.
+
+Two shortcuts keep every result bitwise what the plain loops give. An orbit
+(iterate) ends at its first exact cycle: the map is a pure function of x,
+so once a computed iterate equals an earlier computed one, the rest of the
+orbit repeats that cycle and is copied, not computed. The period points of
+a bifurcation sweep, every (axis value, N) pair at once, are bisected in
+one vectorized pass (_bisect_all): each cell keeps its own ends and stop
+rules, exactly those of a scalar bisection, and its map values come from
+the operations of step_map applied elementwise, so they equal the
+Python-float ones provided math.sin rounds like np.sin (the tests check
+this).
 """
 
 from __future__ import annotations
@@ -107,13 +118,25 @@ def map_derivative(x, p: OscillatorParams):
 
 # the longest orbit, and the most orbit samples in a diagram: 80 MB of doubles
 _MAP_MAX_SAMPLES = 10_000_000
+# the longest cycle iterate detects
+_CYCLE_WINDOW = 4096
 NON_FINITE_ORBIT = "map iterates left the finite range; lower G"
 
 
 def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     """Trajectory [x0, x1, ..., xn] of length n + 1; n is at most
     _MAP_MAX_SAMPLES. An iterate whose phase overflows raises
-    NumericsError (math.sin(inf) raises where np.sin would give nan)."""
+    NumericsError (math.sin(inf) raises where np.sin would give nan).
+
+    The map is a pure function of x, so an orbit that returns to an
+    earlier value repeats exactly from there. Each new iterate is compared
+    with a checkpoint, the last iterate of the window before it; windows
+    double from 1 up to _CYCLE_WINDOW samples (Brent's cycle detection).
+    At the first match the rest of the array is filled by repeating the
+    cycle, which finds every cycle of period up to _CYCLE_WINDOW within
+    two windows of entering it. Only computed iterates are compared, never
+    x0, and nothing is held besides the output array.
+    """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if n > _MAP_MAX_SAMPLES:
@@ -121,14 +144,28 @@ def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
             f"n asks for {n:,} steps, more than {_MAP_MAX_SAMPLES:,}")
     out = np.empty(n + 1)
     out[0] = x0
-    x = float(x0)
+    x, chk = float(x0), math.nan    # nan equals no iterate
     # locals for the hot loop; Python multiplies left to right, so
     # half_g*(...) rounds exactly as step_map's 0.5*G*(...) does
     half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
+    i, width = 1, 1     # out[:i] is filled
     try:
-        for i in range(1, n + 1):
-            x = half_g * (1.0 + m * sin(pi * (x + x_b)))
-            out[i] = x
+        while i <= n:
+            start = i
+            for i in range(start, min(start + width, n + 1)):
+                x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+                out[i] = x
+                if x == chk:
+                    break
+            i += 1
+            if x == chk:
+                # x_(i-1) equals x_(start-1), so x_i, x_(i+1), ... repeat
+                # x_start, x_(start+1), ...; each copy doubles the cycles
+                while i <= n:
+                    k = min(i - start, n + 1 - i)
+                    out[i:i + k] = out[start:start + k]
+                    i += k
+            chk, width = x, min(2 * width, _CYCLE_WINDOW)
     except ValueError:   # math.sin(inf)
         raise NumericsError(NON_FINITE_ORBIT) from None
     return out
@@ -176,42 +213,92 @@ _BISECT_TOL = 1e-12
 _PERIOD_TOL = 1e-8
 
 
-def _bisect(f, a, b, fa, fb):
-    # plain bisection; the iterated map is bounded and smooth so this is
-    # robust where Newton would stall on derivative zeros. It also ends
-    # where a and b are adjacent floats farther apart than _BISECT_TOL
-    # (roots of 8192 and more): no midpoint lies strictly between them.
-    while b - a > _BISECT_TOL:
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _bisect_all(a, b, fa, hg, m, x_b, N):
+    """Roots of f^N(x) - x, one per cell [a, b] with fa its value at a, for
+    arrays of cells; hg, m and x_b hold each cell's map parameters
+    (0.5*G, M, x_b) and N its iterate.
+
+    A cell with fa == 0 is a root on the grid: its root is a. Every other
+    cell is bisected as the scalar loop below would bisect it, on its own;
+    the cells only share the numpy calls of each round:
+
+        while b - a > _BISECT_TOL:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:        # a and b are adjacent floats
+                break
+            fm = f^N(mid) - mid
+            if fm == 0.0:
+                return mid
+            if (fa < 0) != (fm < 0):
+                b = mid
+            else:
+                a = mid
+        return 0.5 * (a + b)
+
+    (The scalar loop also set fa = fm where it moved a, that is where
+    (fm < 0) equals (fa < 0), so the test on fa never changed.) The map is
+    applied elementwise in the operations of step_map, so each cell's fm
+    is bitwise _iterate_n_float(mid, N) - mid when math.sin rounds like
+    np.sin (the tests check this). The map's phase pi*(x + x_b) is never
+    nan but where an earlier phase was +-inf, which is where math.sin
+    raises: an fm of nan raises NumericsError.
+    """
+    roots = a.copy()
+    # the cells in order of N descending, so those that take step s of
+    # f^N are a prefix
+    order = np.argsort(-N, kind="stable")
+    order = order[fa[order] != 0.0]
+    N = N[order]
+    w = np.stack([a, b, fa, hg, m, x_b])[:, order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            a, b = w[0], w[1]
+            mid = 0.5 * (a + b)
+            go = (b - a > _BISECT_TOL) & (a < mid) & (mid < b)
+            if not go.all():
+                roots[order[~go]] = mid[~go]
+                order, N, w, mid = order[go], N[go], w[:, go], mid[go]
+            if not order.size:
+                return roots
+            a, b, fa, hg, m, x_b = w
+            y = mid.copy()
+            for k in np.searchsorted(-N, -np.arange(1, N[0] + 1), "right"):
+                t = y[:k] + x_b[:k]
+                t *= math.pi
+                np.sin(t, out=t)
+                t *= m[:k]
+                t += 1.0
+                t *= hg[:k]
+                y[:k] = t
+            fm = y - mid
+            if np.isnan(fm).any():
+                raise NumericsError(NON_FINITE_ORBIT)
+            left = (fa < 0) != (fm < 0)
+            np.copyto(b, mid, where=left)
+            np.copyto(a, mid, where=~left)
+            zero = fm == 0.0
+            if zero.any():
+                roots[order[zero]] = mid[zero]
+                order, N, w = order[~zero], N[~zero], w[:, ~zero]
 
 
 def _root_brackets(xs, fs):
     """Cells of the grid (xs, fs) that hold a root of f, in ascending order,
-    as (a, b, fa, fb) of Python floats.
+    as arrays (a, b, fa) of their ends and the value at a.
 
     Cell i spans [xs[i], xs[i+1]]. A zero at its left end is a root on the
     grid: the cell comes back with fa == 0 and is not searched further.
-    Otherwise a sign change across the cell brackets a root for _bisect. A
-    zero at the last grid point comes back as the cell (xs[-1], xs[-1]).
+    Otherwise a sign change across the cell brackets a root for
+    _bisect_all. A zero at the last grid point comes back as the cell
+    (xs[-1], xs[-1]).
     """
     left = fs[:-1]
     cells = np.flatnonzero((left == 0.0) | ((left < 0) != (fs[1:] < 0)))
-    out = list(zip(xs[cells].tolist(), xs[cells + 1].tolist(),
-                   fs[cells].tolist(), fs[cells + 1].tolist()))
+    a, b, fa = xs[cells], xs[cells + 1], fs[cells]
     if fs[-1] == 0.0:
-        a, fa = float(xs[-1]), float(fs[-1])
-        out.append((a, a, fa, fa))
-    return out
+        a, b, fa = (np.append(a, xs[-1]), np.append(b, xs[-1]),
+                    np.append(fa, fs[-1]))
+    return a, b, fa
 
 
 @functools.lru_cache(maxsize=1)
@@ -252,31 +339,27 @@ def _orbit_multiplier(x_star, period, p):
     return mult
 
 
-def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
-    """All period points of the N-th iterate on [0, G], with stability.
+def _period_points(pairs) -> list[list[FixedPoint]]:
+    """fixed_points_of_iterate(p, N) for each (p, N) in pairs, with the
+    roots of every pair bisected together by _bisect_all."""
+    cells = []
+    for p, N in pairs:
+        xs, ys = _grid_image(p, N)
+        cells.append(_root_brackets(xs, ys - xs))
+    sizes = [c[0].size for c in cells]
+    a, b, fa = (np.concatenate([c[i] for c in cells]) for i in range(3))
+    hg, m, x_b, Ns = (np.repeat(v, sizes) for v in zip(
+        *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs)))
+    roots = _bisect_all(a, b, fa, hg, m, x_b, Ns).tolist()
+    out, end = [], 0
+    for (p, N), size in zip(pairs, sizes):
+        start, end = end, end + size
+        out.append(_classify_roots(roots[start:end], p, N))
+    return out
 
-    Roots of iterate_n(x, N) - x are bracketed on a uniform grid of
-    _GRID_CELLS cells. The grid images f^N(xs) come from _grid_image, which
-    keeps those of the last p, so the calls for N = 1..N_max at one p map
-    the grid once per N. One vectorized pass over the grid values finds the
-    exact zeros and sign changes, and only those cells are refined, each by
-    scalar bisection on Python floats (_iterate_n_float). Each root is
-    assigned the smallest period dividing N that it actually satisfies, and
-    the orbit multiplier prod |f'(x_i)| decides stability (strict:
-    multiplier < 1). The result is bitwise what evaluating every f^N
-    through iterate_n gives, provided math.sin rounds like np.sin (the
-    tests check this).
-    """
-    if not 1 <= N <= 16:
-        raise ConfigurationError(f"N must be in [1, 16], got {N}")
-    xs, ys = _grid_image(p, N)
 
-    def f(x):
-        return _iterate_n_float(x, N, p) - x
-
-    roots = [a if fa == 0.0 else _bisect(f, a, b, fa, fb)
-             for a, b, fa, fb in _root_brackets(xs, ys - xs)]
-
+def _classify_roots(roots, p, N) -> list[FixedPoint]:
+    """The distinct roots of f^N - x as FixedPoints: period and stability."""
     out = []
     for r in sorted(roots):
         if out and abs(r - out[-1].x_star) < 1e-9:
@@ -293,6 +376,26 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
             stable=bool(mult < 1.0 and not marginal),
             multiplier=float(mult), marginal=marginal))
     return out
+
+
+def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
+    """All period points of the N-th iterate on [0, G], with stability.
+
+    Roots of iterate_n(x, N) - x are bracketed on a uniform grid of
+    _GRID_CELLS cells. The grid images f^N(xs) come from _grid_image, which
+    keeps those of the last p, so the calls for N = 1..N_max at one p map
+    the grid once per N. One vectorized pass over the grid values finds the
+    exact zeros and sign changes, and only those cells are refined, by the
+    batched bisection _bisect_all. Each root is assigned the smallest
+    period dividing N that it actually satisfies (_iterate_n_float), and
+    the orbit multiplier prod |f'(x_i)| decides stability (strict:
+    multiplier < 1). The result is bitwise what evaluating every f^N
+    through iterate_n gives, provided math.sin rounds like np.sin (the
+    tests check this).
+    """
+    if not 1 <= N <= 16:
+        raise ConfigurationError(f"N must be in [1, 16], got {N}")
+    return _period_points([(p, N)])[0]
 
 
 @dataclass(frozen=True)
@@ -316,15 +419,19 @@ def _with_axis(p, axis, v):
 def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
                       N_max: int = 8, transient: int = 10_000,
                       orbit_samples: int = 128) -> list[BifurcationRow]:
-    """Orbit-diagram data: per axis value, period points up to N_max plus
-    the asymptotic orbit tail after a long transient. The diagram holds
-    steps*orbit_samples orbit samples, at most _MAP_MAX_SAMPLES."""
+    """Orbit-diagram data: per axis value, period points up to N_max (at
+    most 16) plus the asymptotic orbit tail after a long transient. The
+    diagram holds steps*orbit_samples orbit samples, at most
+    _MAP_MAX_SAMPLES. The period points of every (axis value, N) pair are
+    bisected in one _bisect_all pass, then merged per axis value."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     if orbit_samples < 1:
         raise ConfigurationError(f"orbit_samples must be >= 1, got {orbit_samples}")
+    if not 1 <= N_max <= 16:
+        raise ConfigurationError(f"N_max must be in [1, 16], got {N_max}")
     if steps * orbit_samples > _MAP_MAX_SAMPLES:
         raise ConfigurationError(
             f"steps*orbit_samples asks for {steps * orbit_samples:,} orbit "
@@ -332,18 +439,21 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
     a, b = float(axis_range[0]), float(axis_range[1])
     if not b > a:
         raise ConfigurationError(f"axis range must have positive width, got [{a}, {b}]")
+    values = np.linspace(a, b, steps)
+    params = [_with_axis(p, axis, v) for v in values]
+    found = _period_points([(pv, N) for pv in params
+                            for N in range(1, N_max + 1)])
     rows = []
-    for v in np.linspace(a, b, steps):
-        pv = _with_axis(p, axis, v)
+    for i, (v, pv) in enumerate(zip(values, params)):
         # keep a point more than 1e-8 from every kept x_star; xs holds those
         # sorted, so (subtraction being monotone) its two neighbours decide
         fps, xs = [], []
-        for N in range(1, N_max + 1):
-            for fp in fixed_points_of_iterate(pv, N):
-                i = bisect.bisect(xs, fp.x_star)
-                if all(abs(fp.x_star - g) > 1e-8 for g in xs[max(i - 1, 0):i + 1]):
+        for points in found[i * N_max:(i + 1) * N_max]:
+            for fp in points:
+                j = bisect.bisect(xs, fp.x_star)
+                if all(abs(fp.x_star - g) > 1e-8 for g in xs[max(j - 1, 0):j + 1]):
                     fps.append(fp)
-                    xs.insert(i, fp.x_star)
+                    xs.insert(j, fp.x_star)
         traj = iterate(0.1, transient + orbit_samples, pv)
         rows.append(BifurcationRow(float(v), tuple(fps), traj[-orbit_samples:]))
     return rows
@@ -450,8 +560,8 @@ def bifurcation_to_csv(rows, path, comment=None):
         for row in rows:
             for i, fp in enumerate(row.fixed_points):
                 yield [row.axis_value, i, fp.x_star, fp.period, fp.stable, None]
-            for s in row.orbit:
-                yield [row.axis_value, -1, None, None, None, float(s)]
+            for s in row.orbit.tolist():
+                yield [row.axis_value, -1, None, None, None, s]
     write_csv(path, ["axis_value", "branch_id", "x_star", "period", "stable",
                      "orbit_sample"], gen(), comment)
 

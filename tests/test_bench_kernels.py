@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("section", ["recursion", "lockstep"])
+@pytest.mark.parametrize("section", ["recursion", "lockstep", "dynamics"])
 def test_bench_kernels_section_runs(section):
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
@@ -21,3 +21,8 @@ def test_bench_kernels_section_runs(section):
     assert proc.returncode == 0, proc.stderr
     assert "bitwise" in proc.stdout
     assert "DIFFER" not in proc.stdout
+    if section == "dynamics":
+        split = next(line for line in proc.stdout.splitlines()
+                     if "split by stage" in line)
+        for stage in ("grid", "bisection", "period check", "orbit", "csv"):
+            assert f" {stage} " in split

@@ -58,6 +58,17 @@ def test_bifurcation_axis_is_monotone(run_cli):
     assert any(b >= 0 for b in branch_ids)
 
 
+@pytest.mark.parametrize("n_max", ["0", "-1", "17"])
+def test_bifurcation_n_max_is_bounded(run_cli, n_max):
+    # an N_max of 0 or below would give a diagram with no branch points
+    code, _, err, outdir = run_cli([
+        "dynamics", "bifurcation", "dynamics.steps=3",
+        f"dynamics.N_max={n_max}"])
+    assert code == 2
+    assert "N_max must be in [1, 16]" in err
+    assert not (outdir / "bifurcation.csv").exists()
+
+
 def test_dde_command(run_cli):
     code, out, _, outdir = run_cli([
         "dynamics", "dde", "dynamics.P_max=0.0003",

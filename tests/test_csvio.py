@@ -1,8 +1,9 @@
 """Artifact writing: exact bytes and all-or-nothing replacement."""
 
+import numpy as np
 import pytest
 
-from delayrc._csvio import write_atomic, write_csv
+from delayrc._csvio import fmt, write_atomic, write_csv
 
 
 def test_write_csv_bytes(tmp_path):
@@ -10,6 +11,24 @@ def test_write_csv_bytes(tmp_path):
     write_csv(path, ["a", "b", "c"], [[0.1, None, True], [2, 1e-300, False]],
               comment="note")
     assert path.read_bytes() == b"# note\na,b,c\n0.1,,1\n2,1e-300,0\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "1"), (False, "0"),
+    (np.bool_(True), "1"), (np.bool_(False), "0"),
+    (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"),
+    (np.float64("nan"), "nan"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.int64(-7), "-7"),
+    (0, "0"), (-12, "-12"), (2**70, "1180591620717411303424"),
+    (0.1, "0.1"), (-0.0, "-0.0"), (float("nan"), "nan"),
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (5e-324, "5e-324"),
+    (None, ""), ("stable", "stable"), ("", ""),
+])
+def test_fmt_rules(value, text):
+    # bools and numpy bools as 0/1, every float (numpy ones as their Python
+    # value) by repr, None as an empty field, anything else by str
+    assert fmt(value) == text
 
 
 def test_failed_writer_keeps_old_file(tmp_path):

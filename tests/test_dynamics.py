@@ -1,6 +1,9 @@
 """Single-oscillator map, fixed points, regimes and the DDE loop model."""
 
 import math
+import types
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,11 +216,31 @@ def test_fixed_points_n_bounds():
         fixed_points_of_iterate(P_STABLE, 17)
 
 
-# Oracles: the per-cell bracketing loop, the fixed-point search that maps
-# the grid from scratch for every N and bisects through iterate_n on numpy
-# scalars, and the iterate loop, as they were before the bracketing was
+# Oracles: the per-cell bracketing loop, the scalar bisection, the
+# fixed-point search that maps the grid from scratch for every N and bisects
+# each cell through iterate_n on numpy scalars, and the iterate loop without
+# cycle detection, as they were before the bracketing and the bisection were
 # vectorized, the grid images reused and the scalar maps moved to Python
 # floats. The new code must reproduce them bit for bit.
+
+def _bisect(f, a, b, fa, fb):
+    # plain bisection; the iterated map is bounded and smooth so this is
+    # robust where Newton would stall on derivative zeros. It also ends
+    # where a and b are adjacent floats farther apart than _BISECT_TOL
+    # (roots of 8192 and more): no midpoint lies strictly between them.
+    while b - a > dynamics._BISECT_TOL:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0) != (fm < 0):
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
 
 def _cell_loop_roots(xs, fs, refine):
     roots = []
@@ -240,7 +263,7 @@ def _cell_loop_fixed_points(p, N):
         return float(iterate_n(x, N, p) - x)
 
     roots = _cell_loop_roots(
-        xs, fs, lambda a, b, fa, fb: dynamics._bisect(f, a, b, fa, fb))
+        xs, fs, lambda a, b, fa, fb: _bisect(f, a, b, fa, fb))
     out = []
     for r in sorted(roots):
         if out and abs(r - out[-1].x_star) < 1e-9:
@@ -281,8 +304,12 @@ def _roots_bits(roots):
 
 
 def _bracket_roots(xs, fs):
-    return [a if fa == 0.0 else (a, b, fa, fb)
-            for a, b, fa, fb in dynamics._root_brackets(xs, fs)]
+    cells = zip(*(v.tolist() for v in dynamics._root_brackets(xs, fs)))
+    return [a if fa == 0.0 else (a, b, fa) for a, b, fa in cells]
+
+
+def _cell_ends(a, b, fa, fb):
+    return a, b, fa
 
 
 def _fp_bits(fps):
@@ -308,7 +335,7 @@ def test_root_brackets_match_cell_loop(fs):
     fs = np.array(fs)
     xs = np.linspace(-0.1, 1.1, fs.size)
     assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
-        _cell_loop_roots(xs, fs, lambda *cell: cell))
+        _cell_loop_roots(xs, fs, _cell_ends))
 
 
 def test_root_brackets_match_cell_loop_on_random_signs():
@@ -317,7 +344,7 @@ def test_root_brackets_match_cell_loop_on_random_signs():
         fs = rng.choice([-1.5, -0.0, 0.0, 0.5], size=int(rng.integers(2, 40)))
         xs = np.sort(rng.uniform(-1.0, 1.0, fs.size))
         assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
-            _cell_loop_roots(xs, fs, lambda *cell: cell))
+            _cell_loop_roots(xs, fs, _cell_ends))
 
 
 @pytest.mark.parametrize("G", np.linspace(0.1, 1.6, 11).tolist())
@@ -368,25 +395,148 @@ def test_iterate_matches_unhoisted_loop_bitwise():
             _unhoisted_iterate(0.1, 3000, p))
 
 
+P_PERIOD4 = osc(1.2)
+P_EXACT = osc(1.0, M=0.5, x_b=-0.5)    # f(0.5) = 0.5 exactly
+
+
+def _first_repeat(x0, p, n):
+    """The first i >= 1 whose iterate equals an earlier one (x0 aside)."""
+    seen = set()
+    for i, x in enumerate(_unhoisted_iterate(x0, n, p)[1:].tolist(), 1):
+        if x in seen:
+            return i
+        seen.add(x)
+    return None
+
+
+@pytest.mark.parametrize("p, x0", [
+    (P_STABLE, 0.1), (P_PERIOD2, 0.1), (P_PERIOD4, 0.1), (P_CHAOS, 0.1),
+    (P_PERIOD2, -0.0), (P_EXACT, 0.5),
+    (P_STABLE, float(_unhoisted_iterate(0.1, 500, P_STABLE)[-1])),
+])
+def test_iterate_cycle_shortcut_matches_unhoisted_loop_bitwise(p, x0):
+    # every n up to past the step where iterate can first see the cycle
+    # (at most twice the first repeat): orbits that end before, at and
+    # after each window and cycle boundary
+    n_max = 2 * (_first_repeat(x0, p, 2000) or 300) + 20
+    expect = _bits(_unhoisted_iterate(x0, n_max, p))
+    for n in range(1, n_max + 1):
+        assert _bits(iterate(x0, n, p)) == expect[:n + 1]
+
+
+@pytest.mark.parametrize("window", [4, 8, 4096])
+def test_iterate_stops_at_the_first_exact_cycle(monkeypatch, window):
+    # G=1.2 ends in a cycle of 8 floats, longer than a window of 4: then
+    # the orbit is computed in full, and otherwise it is cut short
+    monkeypatch.setattr(dynamics, "_CYCLE_WINDOW", window)
+    assert _first_repeat(0.1, P_PERIOD4, 1000) == 162
+    calls = []
+
+    def sin(x):
+        calls.append(x)
+        return math.sin(x)
+    monkeypatch.setattr(dynamics, "math", types.SimpleNamespace(
+        sin=sin, pi=math.pi, nan=math.nan))
+    n = 5000
+    got = iterate(0.1, n, P_PERIOD4)
+    assert _bits(got) == _bits(_unhoisted_iterate(0.1, n, P_PERIOD4))
+    if window < 8:
+        assert len(calls) == n
+    else:
+        assert len(calls) < 2 * 162 + window
+
+
+def test_classify_regime_unchanged_by_the_cycle_shortcut(monkeypatch):
+    ps = [P_STABLE, P_PERIOD2, P_PERIOD4, P_CHAOS, osc(0.3), osc(1.05),
+          osc(1.2, M=0.5, x_b=-0.37)]
+    got = [classify_regime(p) for p in ps]
+    monkeypatch.setattr(dynamics, "iterate", _unhoisted_iterate)
+    oracle = [classify_regime(p) for p in ps]
+    assert [(r.kind, r.period, r.lyapunov.hex()) for r in got] == [
+        (r.kind, r.period, r.lyapunov.hex()) for r in oracle]
+
+
 # ------------------------------------------------------------ bifurcation
 
-def test_bifurcation_rows_match_cell_loop(monkeypatch):
+def _cell_loop_sweep(axis, axis_range, steps, p, N_max, transient,
+                     orbit_samples):
+    """bifurcation_sweep's rows from the per-(p, N) cell loop, the loop
+    without cycle detection and the all-pairs dedup."""
+    rows = []
+    for v in np.linspace(*axis_range, steps).tolist():
+        if axis == "P_max":
+            pv = replace(p, P_max=v, G=net_gain(v, p.G_star, p.V_pi))
+        else:
+            pv = replace(p, **{axis: v})
+        found = [fp for N in range(1, N_max + 1)
+                 for fp in _cell_loop_fixed_points(pv, N)]
+        orbit = _unhoisted_iterate(0.1, transient + orbit_samples, pv)
+        rows.append(BifurcationRow(v, tuple(_all_pairs(found)),
+                                   orbit[-orbit_samples:]))
+    return rows
+
+
+def test_bifurcation_rows_match_cell_loop():
     sweeps = [("G", (0.1, 1.6), 7, osc(1.0)),
               ("x_b", (0.0, 1.0), 5, osc(1.3, M=0.7)),
               ("P_max", (2e-4, 1.5e-3), 4,
                osc(1.0, M=0.9, x_b=0.2, G_star=1000.0))]
     kw = dict(N_max=8, transient=2000, orbit_samples=16)
-    rows = [bifurcation_sweep(*args, **kw) for args in sweeps]
-    monkeypatch.setattr(dynamics, "fixed_points_of_iterate",
-                        _cell_loop_fixed_points)
-    monkeypatch.setattr(dynamics, "iterate", _unhoisted_iterate)
-    for args, got in zip(sweeps, rows):
-        oracle = bifurcation_sweep(*args, **kw)
+    for args in sweeps:
+        got = bifurcation_sweep(*args, **kw)
+        oracle = _cell_loop_sweep(*args, **kw)
         assert len(got) == len(oracle) == args[2]
         for r, o in zip(got, oracle):
             assert r.axis_value == o.axis_value
             assert _fp_bits(r.fixed_points) == _fp_bits(o.fixed_points)
             assert _bits(r.orbit) == _bits(o.orbit)
+
+
+def test_bisect_all_matches_scalar_bisection_bitwise():
+    # one batch mixing iterates, parameters and cell widths, so that cells
+    # leave it in different rounds; the last two cells hit an exact zero
+    # (f(0.5) = 0.5 at G=1, x_b=-0.5) and a root on the grid
+    rng = np.random.default_rng(3)
+    cells = []
+    for _ in range(400):
+        p = osc(float(rng.uniform(0.1, 1.6)), M=float(rng.uniform(0.5, 1.0)),
+                x_b=float(rng.uniform(-0.5, 0.5)))
+        N = int(rng.integers(1, 17))
+        a = float(rng.uniform(-0.1, p.G))
+        b = a + float(rng.choice([1e-3, 1e-9, 2e-12, 0.5]))
+        cells.append((p, N, a, b))
+    cells += [(osc(1e4), 1, 9000.0, 9001.0),
+              (osc(1.0, M=0.5, x_b=-0.5), 1, 0.25, 0.75),
+              (osc(0.7), 3, 0.2, 0.3)]
+    fa = [dynamics._iterate_n_float(a, N, p) - a for p, N, a, _ in cells]
+    fa[-1] = 0.0
+    expect = []
+    for (p, N, a, b), f_a in zip(cells, fa):
+        def f(x):
+            return dynamics._iterate_n_float(x, N, p) - x
+        expect.append(a if f_a == 0.0 else _bisect(f, a, b, f_a, None))
+    cols = list(zip(*((a, b, 0.5 * p.G, p.M, p.x_b, N)
+                      for p, N, a, b in cells)))
+    a, b, hg, M, x_b, N = (np.array(c) for c in cols)
+    got = dynamics._bisect_all(a, b, np.array(fa), hg, M, x_b, N)
+    assert _bits(got) == _bits(expect)
+    assert got[-2] == 0.5 and got[-1] == 0.2
+
+
+def test_bisect_all_raises_where_the_scalar_map_does():
+    # the phase pi*x of a midpoint near 1e308 overflows: math.sin(inf)
+    # raises, and the batch raises there too, quietly
+    p = osc(1e308)
+    a, b = 6e307, 1e308
+    with pytest.raises(NumericsError):
+        dynamics._iterate_n_float(0.5 * (a + b), 2, p)
+    one = np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="finite range"):
+            dynamics._bisect_all(np.array([0.2, a]), np.array([0.3, b]),
+                                 -one, 0.5 * p.G * one, p.M * one, 0 * one,
+                                 np.array([1, 2]))
 
 
 def test_fixed_points_past_8192_are_found():
@@ -480,8 +630,8 @@ def test_bifurcation_dedup_at_the_tolerance(monkeypatch):
     xs = (rng.uniform(0, 1, 200)[:, None] + offsets).ravel()
     per_N = {N: [FixedPoint(float(x), N, bool(N % 2), 0.5)
                  for x in rng.permutation(xs)[:1500]] for N in (1, 2, 3)}
-    monkeypatch.setattr(dynamics, "fixed_points_of_iterate",
-                        lambda p, N: per_N[N])
+    monkeypatch.setattr(dynamics, "_period_points",
+                        lambda pairs: [per_N[N] for _, N in pairs])
     r, _ = bifurcation_sweep("G", (0.5, 0.6), 2, osc(1.0), N_max=3,
                              transient=10, orbit_samples=1)
     expected = _all_pairs(per_N[1] + per_N[2] + per_N[3])
