@@ -26,7 +26,8 @@ The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
 iterate behind each orbit, and a 31-value sweep over the CLI's default
 range (G over [0.1, 1.6]), also given per axis value, then the same sweep
-with its CSV written, split into the grid images, bisection, period check,
+with its CSV written, split into the grid images, bisection, period check
+(with the orbit multipliers where the module forms them in one batch),
 orbits and CSV emission; that CSV must be bitwise the one an unwrapped
 run writes. It also times a 2,000,000-step integrate_dde call. Run it
 with PYTHONPATH pointing at another checkout's src to time that version.
@@ -106,14 +107,18 @@ def best_ms(fn, *args, repeats=5):
 
 
 # dynamics function -> the sweep stage its calls belong to. Versions of the
-# module differ in which of these exist: older ones bisect each cell on its
-# own (_bisect), and older still map the grid and check periods through
-# iterate_n, whose calls are told apart by their argument (an array is the
-# grid, a scalar a period check). Missing names are skipped.
+# module differ in which of these exist: the batched classifier
+# (_classify_all) checks the periods and forms the orbit multipliers of all
+# roots at once; older ones check each root's period on its own
+# (_iterate_n_float) and count its multiplier as "other", bisect each cell
+# on its own (_bisect), and older still map the grid and check periods
+# through iterate_n, whose calls are told apart by their argument (an array
+# is the grid, a scalar a period check). Missing names are skipped.
 SWEEP_STAGES = {
     "_grid_image": "grid",
     "_bisect_all": "bisection",
     "_bisect": "bisection",
+    "_classify_all": "period check",
     "_iterate_n_float": "period check",
     "iterate_n": lambda x, *_: "grid" if np.ndim(x) else "period check",
     "iterate": "orbit",

@@ -11,15 +11,21 @@ iterates, cobweb and bifurcation data, a regime classifier, and an explicit
 integrator for the underlying delay-differential model used to validate the
 discrete limit.
 
-Two shortcuts keep every result bitwise what the plain loops give. An orbit
-(iterate) ends at its first exact cycle: the map is a pure function of x,
-so once a computed iterate equals an earlier computed one, the rest of the
-orbit repeats that cycle and is copied, not computed. The period points of
-a bifurcation sweep, every (axis value, N) pair at once, are bisected in
-one vectorized pass (_bisect_all): each cell keeps its own ends and stop
-rules, exactly those of a scalar bisection, and its map values come from
-the operations of step_map applied elementwise, so they equal the
-Python-float ones provided math.sin rounds like np.sin (the tests check
+Three shortcuts keep every result bitwise what the plain loops give. An
+orbit (iterate) ends at its first exact cycle: the map is a pure function
+of x, so once a computed iterate equals an earlier computed one, the rest
+of the orbit repeats that cycle and is copied, not computed. The period
+points of a bifurcation sweep, every (axis value, N) pair at once, are
+bisected in one vectorized pass (_bisect_all): each cell keeps its own
+ends and stop rules, exactly those of a scalar bisection. The distinct
+roots of all pairs are then classified in one more pass (_classify_all):
+each root keeps its own parameters and N, takes the first period q that a
+scalar check would take, and multiplies the factors |f'| of its orbit up
+to that period, in the order a scalar loop multiplies them. In both passes
+the map values and derivatives come from the operations of step_map and
+map_derivative applied elementwise, and IEEE arithmetic rounds each
+element as it rounds a scalar, so they equal the per-root ones provided
+math.sin and math.cos round like np.sin and np.cos (the tests check
 this).
 """
 
@@ -33,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _backend
-from ._csvio import write_csv
+from ._csvio import write_atomic, write_csv
 from .exceptions import ConfigurationError, NumericsError
 
 __all__ = [
@@ -149,14 +155,18 @@ def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     # half_g*(...) rounds exactly as step_map's 0.5*G*(...) does
     half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
     i, width = 1, 1     # out[:i] is filled
+    window = []         # the iterates of the current window, stored at once
+    append = window.append
     try:
         while i <= n:
             start = i
+            window.clear()
             for i in range(start, min(start + width, n + 1)):
                 x = half_g * (1.0 + m * sin(pi * (x + x_b)))
-                out[i] = x
+                append(x)
                 if x == chk:
                     break
+            out[start:i + 1] = window
             i += 1
             if x == chk:
                 # x_(i-1) equals x_(start-1), so x_i, x_(i+1), ... repeat
@@ -177,19 +187,6 @@ def iterate_n(x, N: int, p: OscillatorParams):
     for _ in range(N):
         y = step_map(y, p)
     return y
-
-
-def _iterate_n_float(x: float, N: int, p: OscillatorParams) -> float:
-    """iterate_n for one Python float, in the same operations (math.sin
-    must round like np.sin for the two to agree bitwise). Raises
-    NumericsError where iterate does."""
-    half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
-    try:
-        for _ in range(N):
-            x = half_g * (1.0 + m * sin(pi * (x + x_b)))
-    except ValueError:   # math.sin(inf)
-        raise NumericsError(NON_FINITE_ORBIT) from None
-    return x
 
 
 def cobweb(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
@@ -238,9 +235,9 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
     (The scalar loop also set fa = fm where it moved a, that is where
     (fm < 0) equals (fa < 0), so the test on fa never changed.) The map is
     applied elementwise in the operations of step_map, so each cell's fm
-    is bitwise _iterate_n_float(mid, N) - mid when math.sin rounds like
-    np.sin (the tests check this). The map's phase pi*(x + x_b) is never
-    nan but where an earlier phase was +-inf, which is where math.sin
+    is bitwise what the map on Python floats gives when math.sin rounds
+    like np.sin (the tests check this). The map's phase pi*(x + x_b) is
+    never nan but where an earlier phase was +-inf, which is where math.sin
     raises: an fm of nan raises NumericsError.
     """
     roots = a.copy()
@@ -250,6 +247,7 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
     order = order[fa[order] != 0.0]
     N = N[order]
     w = np.stack([a, b, fa, hg, m, x_b])[:, order]
+    ends = None     # the k of each step of f^N, until cells leave
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             a, b = w[0], w[1]
@@ -258,18 +256,26 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
             if not go.all():
                 roots[order[~go]] = mid[~go]
                 order, N, w, mid = order[go], N[go], w[:, go], mid[go]
+                ends = None
             if not order.size:
                 return roots
+            if ends is None:
+                ends = np.searchsorted(-N, -np.arange(1, N[0] + 1),
+                                       "right").tolist()
             a, b, fa, hg, m, x_b = w
-            y = mid.copy()
-            for k in np.searchsorted(-N, -np.arange(1, N[0] + 1), "right"):
+            y = mid
+            for k in ends:
                 t = y[:k] + x_b[:k]
                 t *= math.pi
                 np.sin(t, out=t)
                 t *= m[:k]
                 t += 1.0
                 t *= hg[:k]
-                y[:k] = t
+                # every cell takes the first step, so mid is never written
+                if k == y.size:
+                    y = t
+                else:
+                    y[:k] = t
             fm = y - mid
             if np.isnan(fm).any():
                 raise NumericsError(NON_FINITE_ORBIT)
@@ -280,6 +286,7 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
             if zero.any():
                 roots[order[zero]] = mid[zero]
                 order, N, w = order[~zero], N[~zero], w[:, ~zero]
+                ends = None
 
 
 def _root_brackets(xs, fs):
@@ -321,61 +328,121 @@ def _grid_image(p: OscillatorParams, N: int):
     images = _grid_images(p)
     for n in range(1, N + 1):
         if n not in images:
+            # step_map's operations, in place on one fresh array
             with np.errstate(over="ignore", invalid="ignore"):
-                y = step_map(images[n - 1], p)
+                y = images[n - 1] + p.x_b
+                y *= math.pi
+                np.sin(y, out=y)
+                y *= p.M
+                y += 1.0
+                y *= 0.5 * p.G
             y.setflags(write=False)
             images.setdefault(n, y)
     return images[0], images[N]
 
 
-def _orbit_multiplier(x_star, period, p):
-    # a product past the float range is inf (unstable), quietly
-    mult = 1.0
-    x = x_star
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(period):
-            mult *= abs(map_derivative(x, p))
-            x = float(step_map(x, p))
-    return mult
-
-
 def _period_points(pairs) -> list[list[FixedPoint]]:
-    """fixed_points_of_iterate(p, N) for each (p, N) in pairs, with the
-    roots of every pair bisected together by _bisect_all."""
+    """fixed_points_of_iterate(p, N) for each (p, N) in pairs: the roots of
+    every pair are bisected together by _bisect_all, and the distinct roots
+    of every pair classified together by _classify_all."""
+    per_pair = [np.array(v) for v in zip(
+        *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs))]
     cells = []
     for p, N in pairs:
         xs, ys = _grid_image(p, N)
         cells.append(_root_brackets(xs, ys - xs))
     sizes = [c[0].size for c in cells]
     a, b, fa = (np.concatenate([c[i] for c in cells]) for i in range(3))
-    hg, m, x_b, Ns = (np.repeat(v, sizes) for v in zip(
-        *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs)))
-    roots = _bisect_all(a, b, fa, hg, m, x_b, Ns).tolist()
-    out, end = [], 0
-    for (p, N), size in zip(pairs, sizes):
+    roots = _bisect_all(a, b, fa,
+                        *(np.repeat(v, sizes) for v in per_pair)).tolist()
+    # each pair's roots in ascending order, less those within 1e-9 of the
+    # last one kept
+    kept, counts, end = [], [], 0
+    for size in sizes:
         start, end = end, end + size
-        out.append(_classify_roots(roots[start:end], p, N))
+        first = len(kept)
+        for r in sorted(roots[start:end]):
+            if len(kept) > first and abs(r - kept[-1]) < 1e-9:
+                continue
+            kept.append(r)
+        counts.append(len(kept) - first)
+    fps = _classify_all(np.array(kept),
+                        *(np.repeat(v, counts) for v in per_pair))
+    out, end = [], 0
+    for count in counts:
+        start, end = end, end + count
+        out.append(fps[start:end])
     return out
 
 
-def _classify_roots(roots, p, N) -> list[FixedPoint]:
-    """The distinct roots of f^N - x as FixedPoints: period and stability."""
-    out = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1].x_star) < 1e-9:
-            continue
+def _classify_all(x, hg, m, x_b, N) -> list[FixedPoint]:
+    """Period points x of f^N as FixedPoints, for arrays of roots; hg, m
+    and x_b hold each root's map parameters (0.5*G, M, x_b) and N its
+    iterate.
+
+    Each root is classified as the scalar loop below would classify it on
+    its own; the roots only share the numpy calls of each step:
+
         period = N
         for q in range(1, N):
-            if N % q == 0 and abs(_iterate_n_float(r, q, p) - r) < _PERIOD_TOL:
+            if N % q == 0 and abs(f^q(x) - x) < _PERIOD_TOL:
                 period = q
                 break
-        mult = _orbit_multiplier(r, period, p)
+        mult, y = 1.0, x
+        for _ in range(period):
+            mult *= abs(map_derivative(y, p))
+            y = f(y)
         marginal = abs(mult - 1.0) < 1e-9
-        out.append(FixedPoint(
-            x_star=float(r), period=period,
-            stable=bool(mult < 1.0 and not marginal),
-            multiplier=float(mult), marginal=marginal))
-    return out
+        stable = mult < 1.0 and not marginal
+
+    Step q forms f^q(x) from f^(q-1)(x) in the operations of step_map, and
+    the factor of f^(q-1)(x) in those of map_derivative from the same
+    phase; it keeps the factor only while q <= period, so a root's product
+    stops at its period. Both are elementwise, so they are bitwise the
+    scalar values when math.sin and math.cos round like np.sin and np.cos
+    (the tests check this). A product past the float range is inf
+    (unstable), quietly. An f^q(x) of nan means an earlier phase was
+    +-inf, where math.sin raises: it raises NumericsError where the scalar
+    loop evaluates f^q, that is at q dividing N, below N, and below any
+    period found.
+    """
+    period = N.copy()
+    mult = np.ones_like(x)
+    slope = hg * m
+    slope *= math.pi   # ((0.5*G)*M)*pi, as map_derivative forms it
+    # the steps q at which some root's period is checked
+    checked = {q for n in set(N.tolist()) for q in range(1, n) if n % q == 0}
+    y, q, last = x, 1, N.max(initial=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while q <= last:   # last: the longest period still possible
+            t = y + x_b
+            t *= math.pi
+            d = np.cos(t)
+            d *= slope
+            np.abs(d, out=d)
+            np.multiply(mult, d, out=mult, where=q <= period)
+            if q == last:
+                break
+            np.sin(t, out=t)
+            t *= m
+            t += 1.0
+            t *= hg
+            y = t
+            if q in checked:
+                check = (period == N) & (N % q == 0) & (q < N)
+                if (check & np.isnan(y)).any():
+                    raise NumericsError(NON_FINITE_ORBIT)
+                hit = check & (np.abs(y - x) < _PERIOD_TOL)
+                if hit.any():
+                    period[hit] = q
+                    last = period.max()
+            q += 1
+        marginal = np.abs(mult - 1.0) < 1e-9
+        stable = (mult < 1.0) & ~marginal
+    # .tolist() gives built-in floats, ints and bools
+    return [FixedPoint(*fp) for fp in zip(
+        x.tolist(), period.tolist(), stable.tolist(), mult.tolist(),
+        marginal.tolist())]
 
 
 def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
@@ -386,12 +453,14 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
     keeps those of the last p, so the calls for N = 1..N_max at one p map
     the grid once per N. One vectorized pass over the grid values finds the
     exact zeros and sign changes, and only those cells are refined, by the
-    batched bisection _bisect_all. Each root is assigned the smallest
-    period dividing N that it actually satisfies (_iterate_n_float), and
-    the orbit multiplier prod |f'(x_i)| decides stability (strict:
-    multiplier < 1). The result is bitwise what evaluating every f^N
-    through iterate_n gives, provided math.sin rounds like np.sin (the
-    tests check this).
+    batched bisection _bisect_all. Each distinct root is assigned the
+    smallest period dividing N that it actually satisfies, and the orbit
+    multiplier prod |f'(x_i)| over that period decides stability (strict:
+    multiplier < 1); _classify_all does both for all roots at once, one
+    elementwise map step per q. This is the one-pair case of the batched
+    search a bifurcation sweep runs. The result is bitwise what checking
+    and multiplying one root at a time on scalars gives, provided math.sin
+    and math.cos round like np.sin and np.cos (the tests check this).
     """
     if not 1 <= N <= 16:
         raise ConfigurationError(f"N must be in [1, 16], got {N}")
@@ -454,8 +523,9 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
                 if all(abs(fp.x_star - g) > 1e-8 for g in xs[max(j - 1, 0):j + 1]):
                     fps.append(fp)
                     xs.insert(j, fp.x_star)
-        traj = iterate(0.1, transient + orbit_samples, pv)
-        rows.append(BifurcationRow(float(v), tuple(fps), traj[-orbit_samples:]))
+        # a copy: a view of the tail would hold the whole trajectory
+        orbit = iterate(0.1, transient + orbit_samples, pv)[-orbit_samples:]
+        rows.append(BifurcationRow(float(v), tuple(fps), orbit.copy()))
     return rows
 
 
@@ -554,16 +624,25 @@ def bifurcation_to_csv(rows, path, comment=None):
     """One table holding both branch points and orbit samples.
 
     Fixed-point rows carry branch_id >= 0 and empty orbit_sample; orbit rows
-    carry branch_id -1 and only the sample column.
+    carry branch_id -1 and only the sample column. The lines are those
+    write_csv would write (fmt's rules: a float by repr, a bool as 1 or 0,
+    None empty), formatted here from the built-in types that
+    bifurcation_sweep returns.
     """
-    def gen():
+    def fill(fh):
+        if comment:
+            fh.write("# " + comment + "\n")
+        fh.write("axis_value,branch_id,x_star,period,stable,orbit_sample\n")
         for row in rows:
+            axis = repr(row.axis_value)
             for i, fp in enumerate(row.fixed_points):
-                yield [row.axis_value, i, fp.x_star, fp.period, fp.stable, None]
-            for s in row.orbit.tolist():
-                yield [row.axis_value, -1, None, None, None, s]
-    write_csv(path, ["axis_value", "branch_id", "x_star", "period", "stable",
-                     "orbit_sample"], gen(), comment)
+                fh.write(f"{axis},{i},{fp.x_star!r},{fp.period},"
+                         f"{1 if fp.stable else 0},\n")
+            samples = row.orbit.tolist()
+            if samples:   # one line per sample, written as one string
+                sep = "\n" + axis + ",-1,,,,"
+                fh.write(sep[1:] + sep.join(map(repr, samples)) + "\n")
+    write_atomic(path, fill)
 
 
 def regime_to_csv(entries, path, comment=None):

@@ -321,13 +321,24 @@ def test_map_overflow_exits_3(tmp_path, argv):
     assert "RuntimeWarning" not in err
 
 
-def run_fresh(outdir, argv):
-    """(exit code, stderr) of the CLI in a fresh interpreter, so stderr
-    holds any warning numpy prints on the way, as a user would see it."""
+def test_map_overflow_exits_3_with_warnings_as_errors(tmp_path):
+    # a warning on the way would raise under -W error and end the call
+    # with another code and message
+    code, err = run_fresh(tmp_path, [
+        "dynamics", "bifurcation", "dynamics.lo=1e307", "dynamics.hi=1e308",
+        "dynamics.steps=2"], flags=["-W", "error"])
+    assert code == 3, err
+    assert err == "error: map iterates left the finite range; lower G\n"
+
+
+def run_fresh(outdir, argv, flags=()):
+    """(exit code, stderr) of the CLI in a fresh interpreter started with
+    the interpreter flags given, so stderr holds any warning numpy prints on
+    the way, as a user would see it."""
     env = {**os.environ, "DELAYRC_OUTDIR": str(outdir),
            "PYTHONPATH": os.pathsep.join(
                p for p in [SRC, os.environ.get("PYTHONPATH", "")] if p)}
-    proc = subprocess.run([sys.executable, "-m", "delayrc"] + argv,
+    proc = subprocess.run([sys.executable, *flags, "-m", "delayrc"] + argv,
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stderr
 

@@ -1,15 +1,20 @@
 """Single-oscillator map, fixed points, regimes and the DDE loop model."""
 
 import math
+import os
+import subprocess
+import sys
 import types
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayrc import dynamics
+from delayrc._csvio import write_csv
 from delayrc.dynamics import (
     BifurcationRow,
     FixedPoint,
@@ -218,10 +223,11 @@ def test_fixed_points_n_bounds():
 
 # Oracles: the per-cell bracketing loop, the scalar bisection, the
 # fixed-point search that maps the grid from scratch for every N and bisects
-# each cell through iterate_n on numpy scalars, and the iterate loop without
-# cycle detection, as they were before the bracketing and the bisection were
-# vectorized, the grid images reused and the scalar maps moved to Python
-# floats. The new code must reproduce them bit for bit.
+# each cell through iterate_n on numpy scalars, the per-root period check
+# and orbit multiplier, and the iterate loop without cycle detection, as
+# they were before the bracketing, the bisection and the classification
+# were vectorized and the grid images reused. The new code must reproduce
+# them bit for bit.
 
 def _bisect(f, a, b, fa, fb):
     # plain bisection; the iterated map is bounded and smooth so this is
@@ -255,6 +261,52 @@ def _cell_loop_roots(xs, fs, refine):
     return roots
 
 
+def _iterate_n_float(x, N, p):
+    """iterate_n for one Python float, in the same operations (math.sin
+    must round like np.sin for the two to agree bitwise). Raises
+    NumericsError where iterate does."""
+    half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
+    try:
+        for _ in range(N):
+            x = half_g * (1.0 + m * sin(pi * (x + x_b)))
+    except ValueError:   # math.sin(inf)
+        raise NumericsError(dynamics.NON_FINITE_ORBIT) from None
+    return x
+
+
+def _orbit_multiplier(x_star, period, p):
+    # a product past the float range is inf (unstable), quietly
+    mult = 1.0
+    x = x_star
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(period):
+            mult *= abs(map_derivative(x, p))
+            x = float(step_map(x, p))
+    return mult
+
+
+def _classify_roots(roots, p, N):
+    """The distinct roots of f^N - x as FixedPoints: period and stability,
+    one root at a time."""
+    out = []
+    for r in sorted(roots):
+        if out and abs(r - out[-1].x_star) < 1e-9:
+            continue
+        period = N
+        for q in range(1, N):
+            if (N % q == 0 and abs(_iterate_n_float(r, q, p) - r)
+                    < dynamics._PERIOD_TOL):
+                period = q
+                break
+        mult = _orbit_multiplier(r, period, p)
+        marginal = abs(mult - 1.0) < 1e-9
+        out.append(FixedPoint(
+            x_star=float(r), period=period,
+            stable=bool(mult < 1.0 and not marginal),
+            multiplier=float(mult), marginal=marginal))
+    return out
+
+
 def _cell_loop_fixed_points(p, N):
     xs = np.linspace(-0.1, p.G + 0.1, dynamics._GRID_CELLS + 1)
     fs = iterate_n(xs, N, p) - xs
@@ -264,23 +316,7 @@ def _cell_loop_fixed_points(p, N):
 
     roots = _cell_loop_roots(
         xs, fs, lambda a, b, fa, fb: _bisect(f, a, b, fa, fb))
-    out = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1].x_star) < 1e-9:
-            continue
-        period = N
-        for q in range(1, N):
-            if (N % q == 0 and abs(float(iterate_n(r, q, p)) - r)
-                    < dynamics._PERIOD_TOL):
-                period = q
-                break
-        mult = dynamics._orbit_multiplier(r, period, p)
-        marginal = abs(mult - 1.0) < 1e-9
-        out.append(FixedPoint(
-            x_star=float(r), period=period,
-            stable=bool(mult < 1.0 and not marginal),
-            multiplier=float(mult), marginal=marginal))
-    return out
+    return _classify_roots(roots, p, N)
 
 
 def _unhoisted_iterate(x0, n, p):
@@ -364,7 +400,7 @@ def test_iterate_n_float_matches_iterate_n_bitwise(p):
     # both, which holds when math.sin rounds like np.sin
     xs = np.random.default_rng(1).uniform(-0.1, p.G + 0.1, 300)
     for N in range(1, 17):
-        got = [dynamics._iterate_n_float(x, N, p) for x in xs.tolist()]
+        got = [_iterate_n_float(x, N, p) for x in xs.tolist()]
         assert _bits(got) == _bits(iterate_n(x, N, p) for x in xs)
         assert _bits(got) == _bits(iterate_n(xs, N, p))
 
@@ -508,12 +544,12 @@ def test_bisect_all_matches_scalar_bisection_bitwise():
     cells += [(osc(1e4), 1, 9000.0, 9001.0),
               (osc(1.0, M=0.5, x_b=-0.5), 1, 0.25, 0.75),
               (osc(0.7), 3, 0.2, 0.3)]
-    fa = [dynamics._iterate_n_float(a, N, p) - a for p, N, a, _ in cells]
+    fa = [_iterate_n_float(a, N, p) - a for p, N, a, _ in cells]
     fa[-1] = 0.0
     expect = []
     for (p, N, a, b), f_a in zip(cells, fa):
         def f(x):
-            return dynamics._iterate_n_float(x, N, p) - x
+            return _iterate_n_float(x, N, p) - x
         expect.append(a if f_a == 0.0 else _bisect(f, a, b, f_a, None))
     cols = list(zip(*((a, b, 0.5 * p.G, p.M, p.x_b, N)
                       for p, N, a, b in cells)))
@@ -529,7 +565,7 @@ def test_bisect_all_raises_where_the_scalar_map_does():
     p = osc(1e308)
     a, b = 6e307, 1e308
     with pytest.raises(NumericsError):
-        dynamics._iterate_n_float(0.5 * (a + b), 2, p)
+        _iterate_n_float(0.5 * (a + b), 2, p)
     one = np.ones(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -537,6 +573,65 @@ def test_bisect_all_raises_where_the_scalar_map_does():
             dynamics._bisect_all(np.array([0.2, a]), np.array([0.3, b]),
                                  -one, 0.5 * p.G * one, p.M * one, 0 * one,
                                  np.array([1, 2]))
+
+
+# three axes, with every N: many roots have a period shorter than N
+CLASSIFY_SWEEPS = [
+    ("G", (0.3, 0.93, 1.2, 1.49), osc(1.0)),
+    ("x_b", (0.0, 0.3, 0.7), osc(1.3, M=0.7)),
+    ("P_max", (2e-4, 9e-4, 1.5e-3), osc(1.0, M=0.9, x_b=0.2, G_star=1000.0)),
+]
+
+
+def _classify_batch(cases):
+    """_classify_all over the roots of every (p, N, roots) case at once."""
+    cols = zip(*((r, 0.5 * p.G, p.M, p.x_b, N)
+                 for p, N, roots in cases for r in roots))
+    x, hg, m, x_b, N = (np.array(c) for c in cols)
+    return dynamics._classify_all(x, hg, m, x_b, N), N.tolist()
+
+
+def test_classify_all_matches_scalar_classification_bitwise():
+    cases = []
+    for axis, values, base in CLASSIFY_SWEEPS:
+        for v in values:
+            p = dynamics._with_axis(base, axis, v)
+            for N in range(1, 17):
+                cases.append((p, N, [fp.x_star
+                                     for fp in fixed_points_of_iterate(p, N)]))
+    # a point whose multiplier |f'| is within 1e-9 of 1 (marginal), and a
+    # 2-cycle candidate whose product of two ~1e200 factors overflows to inf
+    p = osc(1.3, x_b=0.1)
+    slope = 0.5 * p.G * p.M * math.pi
+    cases.append((p, 1, [math.acos(1.0 / slope) / math.pi - p.x_b]))
+    cases.append((osc(1e200), 2, [0.3]))
+    got, Ns = _classify_batch(cases)
+    expect = [fp for p, N, roots in cases
+              for fp in _classify_roots(roots, p, N)]
+    assert _fp_bits(got) == _fp_bits(expect)
+    assert sum(fp.period < N for fp, N in zip(got, Ns)) > 50
+    assert {fp.period for fp in got} >= {1, 2, 4, 8, 16}
+    assert expect[-2].marginal and not expect[-2].stable
+    assert expect[-1].multiplier == math.inf and not expect[-1].stable
+
+
+def test_classify_all_raises_where_the_scalar_loop_does():
+    # f(0.3) is about 0.9e308, whose phase overflows, so f^2(0.3) is nan.
+    # The scalar loop evaluates f^2 only where 2 divides N and N > 2: at
+    # N = 2 and 3 it checks q = 1 alone and the multiplier is nan, quietly
+    p = osc(1e308)
+    with pytest.raises(NumericsError):
+        _iterate_n_float(0.3, 2, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (2, 3):
+            got, _ = _classify_batch([(p, N, [0.3])])
+            assert _fp_bits(got) == _fp_bits(_classify_roots([0.3], p, N))
+            assert math.isnan(got[0].multiplier)
+        with pytest.raises(NumericsError, match="finite range"):
+            _classify_batch([(P_PERIOD2, 2, [0.1]), (p, 4, [0.3])])
+    with pytest.raises(NumericsError):
+        _classify_roots([0.3], p, 4)
 
 
 def test_fixed_points_past_8192_are_found():
@@ -560,7 +655,7 @@ def test_map_overflow_raises_numerics_error():
     p = osc(1e308)
     errors = []
     for call in (lambda: iterate(0.1, 5, p),
-                 lambda: dynamics._iterate_n_float(0.1, 5, p)):
+                 lambda: _iterate_n_float(0.1, 5, p)):
         with pytest.raises(NumericsError) as info:
             call()
         errors.append(str(info.value))
@@ -636,6 +731,81 @@ def test_bifurcation_dedup_at_the_tolerance(monkeypatch):
                              transient=10, orbit_samples=1)
     expected = _all_pairs(per_N[1] + per_N[2] + per_N[3])
     assert _branches(r.fixed_points) == _branches(expected)
+
+
+def test_bifurcation_orbits_own_their_data():
+    rows = bifurcation_sweep("G", (0.5, 1.5), 3, osc(1.0), N_max=1,
+                             transient=1000, orbit_samples=16)
+    for r in rows:
+        assert r.orbit.base is None and r.orbit.size == 16
+
+
+# the rise of a child's peak RSS from importing dynamics to holding a
+# 3,000-step sweep, in kB; each child is the only one the driver waits for
+_SWEEP_PEAK = """
+import resource, subprocess, sys
+def peak(code):
+    subprocess.run([sys.executable, "-c", code], check=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+base = peak("from delayrc import dynamics")
+print(peak("from delayrc import dynamics; rows = dynamics.bifurcation_sweep("
+           "'G', (0.1, 0.5), 3000, dynamics.OscillatorParams(G=1.0), N_max=1)")
+      - base)
+"""
+SWEEP_RSS_BUDGET_KB = 40_000
+
+
+def test_bifurcation_sweep_memory_is_its_orbit_samples():
+    # 3,000 orbit tails of 128 samples are 3 MB; tails that kept their
+    # 10,129-sample trajectories alive would hold 243 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH", "")] if p)}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_PEAK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < SWEEP_RSS_BUDGET_KB
+
+
+def _write_csv_bifurcation(rows, path, comment=None):
+    """bifurcation_to_csv as the generic write_csv and fmt path."""
+    def gen():
+        for row in rows:
+            for i, fp in enumerate(row.fixed_points):
+                yield [row.axis_value, i, fp.x_star, fp.period, fp.stable,
+                       None]
+            for s in row.orbit.tolist():
+                yield [row.axis_value, -1, None, None, None, s]
+    write_csv(path, ["axis_value", "branch_id", "x_star", "period", "stable",
+                     "orbit_sample"], gen(), comment)
+
+
+def test_bifurcation_csv_matches_write_csv_bytes(tmp_path):
+    inf = math.inf
+    fps = (FixedPoint(0.25, 1, True, 0.5), FixedPoint(-0.0, 2, False, inf),
+           FixedPoint(5e-324, 16, False, 1.0, True))
+    made_up = [
+        BifurcationRow(0.1, fps,
+                       np.array([-0.0, 5e-324, inf, -inf, NAN, 0.3])),
+        BifurcationRow(-0.0, (), np.array([1.5, -2.0])),
+        BifurcationRow(0.2, fps[:1], np.array([])),
+        BifurcationRow(5e-324, fps[1:], np.array([NAN])),
+    ]
+    swept = bifurcation_sweep("G", (0.5, 1.5), 5, osc(1.0), N_max=4,
+                              transient=500, orbit_samples=8)
+    for row in swept:
+        assert type(row.axis_value) is float
+        for fp in row.fixed_points:
+            # a numpy scalar would print as np.float64(...) in an f-string
+            assert [type(v) for v in (fp.x_star, fp.period, fp.stable,
+                                      fp.multiplier, fp.marginal)] == [
+                float, int, bool, float, bool]
+    for rows in (made_up, swept):
+        for comment in (None, "a comment"):
+            dynamics.bifurcation_to_csv(rows, tmp_path / "got.csv", comment)
+            _write_csv_bifurcation(rows, tmp_path / "expect.csv", comment)
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "expect.csv").read_bytes())
 
 
 def test_bifurcation_orbit_collapses_when_stable():
