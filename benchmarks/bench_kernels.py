@@ -29,8 +29,9 @@ range (G over [0.1, 1.6]), also given per axis value, then the same sweep
 with its CSV written, split into the grid images, bisection, period check
 (with the orbit multipliers where the module forms them in one batch),
 orbits and CSV emission; that CSV must be bitwise the one an unwrapped
-run writes. It also times a 2,000,000-step integrate_dde call. Run it
-with PYTHONPATH pointing at another checkout's src to time that version.
+run writes. It also times an integrate_dde call of 5 * n_samples steps
+(2,000,000 by default). Run it with PYTHONPATH pointing at another
+checkout's src to time that version.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
   S is recursion, lockstep, dynamics or all (default). n_samples is per
@@ -107,7 +108,9 @@ def best_ms(fn, *args, repeats=5):
 
 
 # dynamics function -> the sweep stage its calls belong to. Versions of the
-# module differ in which of these exist: the batched classifier
+# module differ in which of these exist: the grid is mapped once per
+# parameter set for every N (_image_stack), or once per N with the images
+# of the last parameters kept (_grid_image); the batched classifier
 # (_classify_all) checks the periods and forms the orbit multipliers of all
 # roots at once; older ones check each root's period on its own
 # (_iterate_n_float) and count its multiplier as "other", bisect each cell
@@ -115,6 +118,7 @@ def best_ms(fn, *args, repeats=5):
 # through iterate_n, whose calls are told apart by their argument (an array
 # is the grid, a scalar a period check). Missing names are skipped.
 SWEEP_STAGES = {
+    "_image_stack": "grid",
     "_grid_image": "grid",
     "_bisect_all": "bisection",
     "_bisect": "bisection",
@@ -162,12 +166,12 @@ def split_sweep(sweep):
     return total, ms
 
 
-def bench_dynamics():
+def bench_dynamics(n_samples):
     gains = (0.56, 0.93, 1.2, 1.49)
     print(f"fixed_points_of_iterate, {dynamics._GRID_CELLS} grid cells, "
-          "best of 5, ms per call (roots found); where the module keeps the "
-          "grid images of the last parameters, only the first call maps "
-          "the grid")
+          "best of 5, ms per call (roots found); a version that keeps the "
+          "grid images of the last parameters maps the grid in the first "
+          "call only, one that does not maps it N times per call")
     print(f"{'G':>6} " + " ".join(f"{f'N={N}':>13}" for N in range(1, 9)))
     for G in gains:
         p = dynamics.OscillatorParams(G=G)
@@ -202,7 +206,7 @@ def bench_dynamics():
           + ", ".join(f"{k} {v:.1f}" for k, v in ms.items())
           + f", other {total - sum(ms.values()):.1f} ms")
 
-    n = 2_000_000
+    n = 5 * n_samples
     p = dynamics.OscillatorParams(G=0.56, P_max=0.3e-3, G_star=0.56 / 0.3e-3,
                                   T_R=0.01)
     args = (p, lambda _t: 0.1, n * 1e-3, 1e-3)
@@ -328,7 +332,7 @@ def main():
     args = ap.parse_args()
     sections = {"recursion": lambda: bench_recursion(args.n_samples),
                 "lockstep": lambda: bench_lockstep(args.n_samples),
-                "dynamics": bench_dynamics}
+                "dynamics": lambda: bench_dynamics(args.n_samples)}
     run = list(sections) if args.section == "all" else [args.section]
     for i, name in enumerate(run):
         if i:

@@ -31,16 +31,31 @@ def _bool(raw: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {raw!r}")
 
 
+# the most values a range spec lo:hi:step may produce
+MAX_RANGE_VALUES = 100_000
+
+
 def _floats(raw: str) -> tuple:
-    """Comma list '0.49,1.0' or inclusive range spec 'lo:hi:step'."""
-    if ":" in raw:
-        lo, hi, step = (float(v) for v in raw.split(":"))
-        if step <= 0 or hi < lo:
-            raise ConfigurationError(f"bad range spec {raw!r}")
-        n = int(round((hi - lo) / step))
-        return tuple(float(v) for v in (lo + step * np.arange(n + 1))
-                     if v <= hi + 1e-12)
-    return tuple(float(v) for v in raw.split(","))
+    """Comma list '0.49,1.0' or inclusive range spec 'lo:hi:step' of
+    finite values; a range spec gives at most MAX_RANGE_VALUES values."""
+    values = [float(v) for v in raw.split(":" if ":" in raw else ",")]
+    if not all(np.isfinite(values)):
+        raise ConfigurationError(f"values must be finite, got {raw!r}")
+    if ":" not in raw:
+        return tuple(values)
+    lo, hi, step = values
+    if step <= 0 or hi < lo:
+        raise ConfigurationError(f"bad range spec {raw!r}")
+    # checked before any array is sized; the ratio is inf where hi - lo
+    # overflows or step is tiny
+    ratio = (hi - lo) / step
+    if not ratio + 1 <= MAX_RANGE_VALUES:
+        raise ConfigurationError(
+            f"range spec {raw!r} asks for {ratio + 1:g} values, more than "
+            f"{MAX_RANGE_VALUES:,}")
+    n = int(round(ratio))
+    return tuple(float(v) for v in (lo + step * np.arange(n + 1))
+                 if v <= hi + 1e-12)
 
 
 _SINE = pipeline.TASK_DEFAULTS["sine_square"]
@@ -112,8 +127,8 @@ def _coerce(key: str, raw):
     coerce = _SCHEMA[key][0]
     try:
         return coerce(raw)
-    except ConfigurationError:
-        raise
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
     except ValueError:
         raise ConfigurationError(
             f"bad value for {key!r}: {raw!r}") from None

@@ -14,25 +14,25 @@ discrete limit.
 Three shortcuts keep every result bitwise what the plain loops give. An
 orbit (iterate) ends at its first exact cycle: the map is a pure function
 of x, so once a computed iterate equals an earlier computed one, the rest
-of the orbit repeats that cycle and is copied, not computed. The period
-points of a bifurcation sweep, every (axis value, N) pair at once, are
+of the orbit repeats that cycle and is copied, not computed. A
+bifurcation sweep maps each axis value's grid once for all N and brackets
+them in one pass; the period points of every (axis value, N) pair are
 bisected in one vectorized pass (_bisect_all): each cell keeps its own
 ends and stop rules, exactly those of a scalar bisection. The distinct
 roots of all pairs are then classified in one more pass (_classify_all):
 each root keeps its own parameters and N, takes the first period q that a
 scalar check would take, and multiplies the factors |f'| of its orbit up
-to that period, in the order a scalar loop multiplies them. In both passes
-the map values and derivatives come from the operations of step_map and
-map_derivative applied elementwise, and IEEE arithmetic rounds each
-element as it rounds a scalar, so they equal the per-root ones provided
-math.sin and math.cos round like np.sin and np.cos (the tests check
-this).
+to that period, in the order a scalar loop multiplies them. Every pass
+forms the map in step_map's operations (_phase, _map_from_phase) and the
+derivative in map_derivative's, elementwise, and IEEE arithmetic rounds
+each element as it rounds a scalar, so they equal the per-root ones
+provided math.sin and math.cos round like np.sin and np.cos (the tests
+check this).
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -210,6 +210,59 @@ _BISECT_TOL = 1e-12
 _PERIOD_TOL = 1e-8
 
 
+def _phase(x, x_b):
+    """pi*(x + x_b), the phase of step_map and map_derivative, on a fresh
+    array."""
+    t = x + x_b
+    t *= math.pi
+    return t
+
+
+def _map_from_phase(t, hg, m):
+    """step_map's value hg*(1.0 + m*sin(t)) from its phase t, in place in
+    t; hg holds 0.5*G. Each element rounds as step_map rounds a scalar (and
+    as the map on Python floats does when math.sin rounds like np.sin)."""
+    np.sin(t, out=t)
+    t *= m
+    t += 1.0
+    t *= hg
+    return t
+
+
+def _image_stack(p: OscillatorParams, n: int):
+    """The bracketing grid xs of p in row 0 and f^N(xs) in row N, for N up
+    to n. Row N is step_map applied to row N-1, the operations
+    iterate_n(xs, N, p) performs, so it is bitwise the same. An image that
+    leaves the finite range holds inf or nan, quietly: the scalar map
+    reports the overflow (NumericsError)."""
+    ys = [np.linspace(-0.1, p.G + 0.1, _GRID_CELLS + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            ys.append(_map_from_phase(_phase(ys[-1], p.x_b), 0.5 * p.G, p.M))
+    return np.stack(ys)
+
+
+def _root_brackets(xs, fs):
+    """Cells of the grid xs that hold a root of f, for each row f of fs
+    (the values of one function on xs), as arrays (row, a, b, fa) of their
+    row, ends and the value at a; row-major, so each row's cells come in
+    ascending order.
+
+    Cell i spans [xs[i], xs[i+1]]. A zero at its left end is a root on the
+    grid: the cell comes back with fa == 0 and is not searched further.
+    Otherwise a sign change across the cell brackets a root for
+    _bisect_all. A zero at the last grid point comes back, last in its row,
+    as the cell (xs[-1], xs[-1]).
+    """
+    neg = fs < 0
+    hit = fs == 0.0
+    hit[:, :-1] |= neg[:, :-1] != neg[:, 1:]
+    flat = np.flatnonzero(hit)   # far faster than a 2-D np.nonzero
+    row, cell = np.divmod(flat, xs.size)
+    ends = np.append(xs, xs[-1])   # the last cell is the last grid point
+    return row, ends[cell], ends[cell + 1], fs.ravel()[flat]
+
+
 def _bisect_all(a, b, fa, hg, m, x_b, N):
     """Roots of f^N(x) - x, one per cell [a, b] with fa its value at a, for
     arrays of cells; hg, m and x_b hold each cell's map parameters
@@ -265,12 +318,7 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
             a, b, fa, hg, m, x_b = w
             y = mid
             for k in ends:
-                t = y[:k] + x_b[:k]
-                t *= math.pi
-                np.sin(t, out=t)
-                t *= m[:k]
-                t += 1.0
-                t *= hg[:k]
+                t = _map_from_phase(_phase(y[:k], x_b[:k]), hg[:k], m[:k])
                 # every cell takes the first step, so mid is never written
                 if k == y.size:
                     y = t
@@ -289,89 +337,42 @@ def _bisect_all(a, b, fa, hg, m, x_b, N):
                 ends = None
 
 
-def _root_brackets(xs, fs):
-    """Cells of the grid (xs, fs) that hold a root of f, in ascending order,
-    as arrays (a, b, fa) of their ends and the value at a.
-
-    Cell i spans [xs[i], xs[i+1]]. A zero at its left end is a root on the
-    grid: the cell comes back with fa == 0 and is not searched further.
-    Otherwise a sign change across the cell brackets a root for
-    _bisect_all. A zero at the last grid point comes back as the cell
-    (xs[-1], xs[-1]).
-    """
-    left = fs[:-1]
-    cells = np.flatnonzero((left == 0.0) | ((left < 0) != (fs[1:] < 0)))
-    a, b, fa = xs[cells], xs[cells + 1], fs[cells]
-    if fs[-1] == 0.0:
-        a, b, fa = (np.append(a, xs[-1]), np.append(b, xs[-1]),
-                    np.append(fa, fs[-1]))
-    return a, b, fa
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_images(p: OscillatorParams) -> dict:
-    """{0: xs}, the bracketing grid of p, to which _grid_image adds f^N(xs)
-    under N. One entry: a sweep asks for N = 1..N_max at one axis value
-    before it moves on. Parameters that compare equal differ at most in the
-    sign of a zero x_b, which leaves every image unchanged."""
-    xs = np.linspace(-0.1, p.G + 0.1, _GRID_CELLS + 1)
-    xs.setflags(write=False)
-    return {0: xs}
-
-
-def _grid_image(p: OscillatorParams, N: int):
-    """(xs, f^N(xs)) on the bracketing grid, both read-only and shared by
-    every call with p. f^N(xs) is step_map applied to f^(N-1)(xs), the
-    operations iterate_n(xs, N, p) performs, so it is bitwise the same.
-    An image that leaves the finite range holds inf or nan, quietly: the
-    scalar map reports the overflow (NumericsError)."""
-    images = _grid_images(p)
-    for n in range(1, N + 1):
-        if n not in images:
-            # step_map's operations, in place on one fresh array
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = images[n - 1] + p.x_b
-                y *= math.pi
-                np.sin(y, out=y)
-                y *= p.M
-                y += 1.0
-                y *= 0.5 * p.G
-            y.setflags(write=False)
-            images.setdefault(n, y)
-    return images[0], images[N]
-
-
 def _period_points(pairs) -> list[list[FixedPoint]]:
-    """fixed_points_of_iterate(p, N) for each (p, N) in pairs: the roots of
-    every pair are bisected together by _bisect_all, and the distinct roots
-    of every pair classified together by _classify_all."""
-    per_pair = [np.array(v) for v in zip(
-        *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs))]
-    cells = []
-    for p, N in pairs:
-        xs, ys = _grid_image(p, N)
-        cells.append(_root_brackets(xs, ys - xs))
-    sizes = [c[0].size for c in cells]
-    a, b, fa = (np.concatenate([c[i] for c in cells]) for i in range(3))
-    roots = _bisect_all(a, b, fa,
-                        *(np.repeat(v, sizes) for v in per_pair)).tolist()
-    # each pair's roots in ascending order, less those within 1e-9 of the
-    # last one kept
-    kept, counts, end = [], [], 0
-    for size in sizes:
-        start, end = end, end + size
-        first = len(kept)
-        for r in sorted(roots[start:end]):
-            if len(kept) > first and abs(r - kept[-1]) < 1e-9:
-                continue
-            kept.append(r)
-        counts.append(len(kept) - first)
-    fps = _classify_all(np.array(kept),
-                        *(np.repeat(v, counts) for v in per_pair))
-    out, end = [], 0
-    for count in counts:
-        start, end = end, end + count
-        out.append(fps[start:end])
+    """fixed_points_of_iterate(p, N) for each (p, N) in pairs. The grid of
+    each distinct p is mapped once, up to the largest N asked of it, and
+    bracketed for all its N in one pass; the roots of every pair are then
+    bisected together by _bisect_all, and the distinct roots of every pair
+    classified together by _classify_all."""
+    hg, m, x_b, N = (np.array(v) for v in zip(
+        *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs)))
+    # the pairs of each p; parameters that compare equal differ at most in
+    # the sign of a zero x_b, which leaves every image unchanged
+    groups = {}
+    for i, (p, _) in enumerate(pairs):
+        groups.setdefault(p, []).append(i)
+    cells = []     # (pair, a, b, fa) of each p's brackets
+    for p, members in groups.items():
+        members = np.array(members)
+        ys = _image_stack(p, N[members].max())
+        row, a, b, fa = _root_brackets(ys[0], ys[N[members]] - ys[0])
+        cells.append((members[row], a, b, fa))
+    del ys   # the last stack need not live through the bisection
+    pair, a, b, fa = (np.concatenate(c) for c in zip(*cells))
+    roots = _bisect_all(a, b, fa, hg[pair], m[pair], x_b[pair], N[pair])
+    # each pair's roots in ascending order (a stable sort, as sorted() is),
+    # less those within 1e-9 of the last one kept
+    order = np.lexsort((roots, pair))
+    kept, owner = [], []
+    for i, r in zip(pair[order].tolist(), roots[order].tolist()):
+        if owner and owner[-1] == i and abs(r - kept[-1]) < 1e-9:
+            continue
+        kept.append(r)
+        owner.append(i)
+    fps = _classify_all(np.array(kept), hg[owner], m[owner], x_b[owner],
+                        N[owner])
+    out = [[] for _ in pairs]
+    for i, fp in zip(owner, fps):
+        out[i].append(fp)
     return out
 
 
@@ -415,19 +416,14 @@ def _classify_all(x, hg, m, x_b, N) -> list[FixedPoint]:
     y, q, last = x, 1, N.max(initial=0)
     with np.errstate(over="ignore", invalid="ignore"):
         while q <= last:   # last: the longest period still possible
-            t = y + x_b
-            t *= math.pi
+            t = _phase(y, x_b)
             d = np.cos(t)
             d *= slope
             np.abs(d, out=d)
             np.multiply(mult, d, out=mult, where=q <= period)
             if q == last:
                 break
-            np.sin(t, out=t)
-            t *= m
-            t += 1.0
-            t *= hg
-            y = t
+            y = _map_from_phase(t, hg, m)
             if q in checked:
                 check = (period == N) & (N % q == 0) & (q < N)
                 if (check & np.isnan(y)).any():
@@ -449,18 +445,17 @@ def fixed_points_of_iterate(p: OscillatorParams, N: int) -> list[FixedPoint]:
     """All period points of the N-th iterate on [0, G], with stability.
 
     Roots of iterate_n(x, N) - x are bracketed on a uniform grid of
-    _GRID_CELLS cells. The grid images f^N(xs) come from _grid_image, which
-    keeps those of the last p, so the calls for N = 1..N_max at one p map
-    the grid once per N. One vectorized pass over the grid values finds the
-    exact zeros and sign changes, and only those cells are refined, by the
-    batched bisection _bisect_all. Each distinct root is assigned the
-    smallest period dividing N that it actually satisfies, and the orbit
-    multiplier prod |f'(x_i)| over that period decides stability (strict:
-    multiplier < 1); _classify_all does both for all roots at once, one
-    elementwise map step per q. This is the one-pair case of the batched
-    search a bifurcation sweep runs. The result is bitwise what checking
-    and multiplying one root at a time on scalars gives, provided math.sin
-    and math.cos round like np.sin and np.cos (the tests check this).
+    _GRID_CELLS cells: each call maps the grid N times (_image_stack) and
+    finds the exact zeros and sign changes in one vectorized pass. Only
+    those cells are refined, by the batched bisection _bisect_all. Each
+    distinct root is assigned the smallest period dividing N that it
+    actually satisfies, and the orbit multiplier prod |f'(x_i)| over that
+    period decides stability (strict: multiplier < 1); _classify_all does
+    both for all roots at once, one elementwise map step per q. This is
+    the one-pair case of the batched search a bifurcation sweep runs. The
+    result is bitwise what checking and multiplying one root at a time on
+    scalars gives, provided math.sin and math.cos round like np.sin and
+    np.cos (the tests check this).
     """
     if not 1 <= N <= 16:
         raise ConfigurationError(f"N must be in [1, 16], got {N}")
@@ -491,8 +486,9 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
     """Orbit-diagram data: per axis value, period points up to N_max (at
     most 16) plus the asymptotic orbit tail after a long transient. The
     diagram holds steps*orbit_samples orbit samples, at most
-    _MAP_MAX_SAMPLES. The period points of every (axis value, N) pair are
-    bisected in one _bisect_all pass, then merged per axis value."""
+    _MAP_MAX_SAMPLES. The grid of each axis value is mapped once for all
+    its N, the period points of every (axis value, N) pair are bisected in
+    one _bisect_all pass, then merged per axis value."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if steps < 2:

@@ -51,6 +51,9 @@ class SearchSpace:
     def __post_init__(self):
         for name in DIMS:
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigurationError(
+                    f"bounds of {name} must be finite, got ({lo}, {hi})")
             if not hi > lo:
                 raise ConfigurationError(f"empty interval for {name}: ({lo}, {hi})")
         if self.lam[0] <= 0:
@@ -236,7 +239,9 @@ def run_study(task: str, template: dict | None = None,
     seeds: {"sampler", "data", "mask"}. Missing template and seed entries
     come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
     data seed is held fixed so the surrogate sees a noiseless objective.
-    If path exists the study found there is continued up to the requested
+    The suggestion options need n_startup >= 1, n_candidates >= 1 and
+    0 < gamma <= 1; they are checked before any trial runs. If path
+    exists the study found there is continued up to the requested
     budget (deterministically identical to an uninterrupted run). While it
     runs, the study holds a lock on the directory of path, and a second
     study on that directory raises ConfigurationError instead of
@@ -249,6 +254,13 @@ def run_study(task: str, template: dict | None = None,
     if not 1 <= width <= MAX_WIDTH:
         raise ConfigurationError(
             f"width must be in [1, {MAX_WIDTH}], got {width}")
+    if n_startup < 1:
+        raise ConfigurationError(f"n_startup must be >= 1, got {n_startup}")
+    if n_candidates < 1:
+        raise ConfigurationError(
+            f"n_candidates must be >= 1, got {n_candidates}")
+    if not 0 < gamma <= 1:   # also false for nan
+        raise ConfigurationError(f"gamma must be in (0, 1], got {gamma!r}")
     space = space or SearchSpace()
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
@@ -374,6 +386,9 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
         raise ConfigurationError("tau_over_T grid is empty")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigurationError(
+            f"tau_over_T grid values must be finite, got {grid}")
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}

@@ -3,6 +3,7 @@
 import fcntl
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -331,15 +332,18 @@ def test_map_overflow_exits_3_with_warnings_as_errors(tmp_path):
     assert err == "error: map iterates left the finite range; lower G\n"
 
 
-def run_fresh(outdir, argv, flags=()):
+def run_fresh(outdir, argv, flags=(), preexec_fn=None):
     """(exit code, stderr) of the CLI in a fresh interpreter started with
     the interpreter flags given, so stderr holds any warning numpy prints on
-    the way, as a user would see it."""
+    the way, as a user would see it. preexec_fn runs in the child before
+    the interpreter starts."""
     env = {**os.environ, "DELAYRC_OUTDIR": str(outdir),
+           "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                p for p in [SRC, os.environ.get("PYTHONPATH", "")] if p)}
     proc = subprocess.run([sys.executable, *flags, "-m", "delayrc"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=preexec_fn)
     return proc.returncode, proc.stderr
 
 
@@ -377,6 +381,46 @@ def test_optimize_width_is_bounded(run_cli):
     assert code == 2
     assert "width" in err
     assert not (outdir / "study.jsonl").exists()
+
+
+# budget 3 with two startup trials reaches the TPE suggestion, where the
+# optimize.* options are used
+@pytest.mark.parametrize("argv", [
+    ["sweep-delay", "sweep.grid=0:inf:1"],
+    ["sweep-delay", "sweep.grid=0:1e300:1e-300"],   # the step count is inf
+    ["sweep-delay", "sweep.grid=1,inf"],
+    ["optimize", "space.lam=1e-8,inf"],
+    ["optimize", "space.G=0,inf"],
+    ["optimize", "optimize.n_candidates=0"],
+    ["optimize", "optimize.gamma=nan"],
+    ["optimize", "optimize.gamma=inf"],
+    ["optimize", "optimize.gamma=-1"],
+    ["optimize", "optimize.n_startup=0"],
+    ["optimize", "optimize.n_startup=-5"],
+])
+def test_bad_grid_space_and_tpe_option_exits_2(run_cli, argv):
+    extra = (["sweep.repeats=1"] if argv[0] == "sweep-delay"
+             else ["optimize.budget=3", "optimize.n_startup=2"])
+    code, _, err, _ = run_cli(argv[:1] + extra + FAST_SS + argv[1:])
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _limit_address_space():
+    # 2 GiB: enough for the CLI, far below the 7.45 GiB the grid would take
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_sweep_grid_size_is_bounded(tmp_path):
+    # sized as asked, the range would take 7.45 GiB; the child runs under an
+    # address-space limit, so the test cannot take that much either way
+    code, err = run_fresh(tmp_path, ["sweep-delay", "sweep.grid=0:1e9:1",
+                                     "sweep.repeats=1"] + FAST_SS,
+                          preexec_fn=_limit_address_space)
+    assert code == 2, err
+    assert err.startswith("error: ") and "more than" in err
+    assert "Traceback" not in err
 
 
 def test_optimize_refuses_a_locked_study(run_cli):

@@ -339,9 +339,16 @@ def _roots_bits(roots):
             for r in roots]
 
 
-def _bracket_roots(xs, fs):
-    cells = zip(*(v.tolist() for v in dynamics._root_brackets(xs, fs)))
-    return [a if fa == 0.0 else (a, b, fa) for a, b, fa in cells]
+def _check_root_brackets(xs, fs):
+    """Each row of fs gets from _root_brackets the cell loop's roots on that
+    row, in the same order."""
+    got = [[] for _ in fs]
+    for row, a, b, fa in zip(*(v.tolist()
+                               for v in dynamics._root_brackets(xs, fs))):
+        got[row].append(a if fa == 0.0 else (a, b, fa))
+    for roots, f in zip(got, fs):
+        assert _roots_bits(roots) == _roots_bits(
+            _cell_loop_roots(xs, f, _cell_ends))
 
 
 def _cell_ends(a, b, fa, fb):
@@ -366,21 +373,24 @@ NAN = float("nan")
     [0.0, 0.0, 0.0],
     [1.0, 2.0, 3.0],
     [1.0, NAN, -1.0, 2.0],
+    [[0.0, 1.0, -1.0, 0.0],            # rows with zeros at both ends,
+     [-0.0, NAN, 2.0, -0.0],           # negative zeros and nan
+     [1.0, 2.0, 3.0, 4.0],
+     [NAN, -1.0, 0.0, NAN],
+     [0.5, -0.0, 0.0, 0.0]],
 ])
 def test_root_brackets_match_cell_loop(fs):
-    fs = np.array(fs)
-    xs = np.linspace(-0.1, 1.1, fs.size)
-    assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
-        _cell_loop_roots(xs, fs, _cell_ends))
+    fs = np.atleast_2d(fs)
+    _check_root_brackets(np.linspace(-0.1, 1.1, fs.shape[1]), fs)
 
 
 def test_root_brackets_match_cell_loop_on_random_signs():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        fs = rng.choice([-1.5, -0.0, 0.0, 0.5], size=int(rng.integers(2, 40)))
-        xs = np.sort(rng.uniform(-1.0, 1.0, fs.size))
-        assert _roots_bits(_bracket_roots(xs, fs)) == _roots_bits(
-            _cell_loop_roots(xs, fs, _cell_ends))
+        shape = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        fs = rng.choice([-1.5, -0.0, 0.0, 0.5, NAN], size=shape)
+        xs = np.sort(rng.uniform(-1.0, 1.0, shape[1]))
+        _check_root_brackets(xs, fs)
 
 
 @pytest.mark.parametrize("G", np.linspace(0.1, 1.6, 11).tolist())
@@ -405,24 +415,26 @@ def test_iterate_n_float_matches_iterate_n_bitwise(p):
         assert _bits(got) == _bits(iterate_n(xs, N, p))
 
 
-def test_grid_images_keep_the_last_parameters_only():
-    p1, p2 = osc(0.93), osc(1.2, M=0.7, x_b=0.3)
-    xs1, y1 = dynamics._grid_image(p1, 3)
-    assert dynamics._grid_image(p1, 3)[1] is y1
-    assert dynamics._grid_image(p1, 2)[0] is xs1
-    xs2, y2 = dynamics._grid_image(p2, 5)
-    assert dynamics._grid_images.cache_info().currsize == 1
-    assert dynamics._grid_image(p1, 3)[1] is not y1   # p2 replaced p1
-    for a in (xs1, y1, xs2, y2):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-    for p in (p1, p2):
+def test_image_stack_matches_iterate_n_bitwise():
+    for p in (osc(0.93), osc(1.2, M=0.7, x_b=0.3), osc(1.49, x_b=-0.21)):
         xs = np.linspace(-0.1, p.G + 0.1, dynamics._GRID_CELLS + 1)
-        for N in (4, 1, 8, 2):   # out of order: cached and fresh images
-            got_xs, got = dynamics._grid_image(p, N)
-            assert got_xs.tobytes() == xs.tobytes()
-            assert got.tobytes() == iterate_n(xs, N, p).tobytes()
+        ys = dynamics._image_stack(p, 8)
+        assert ys.shape == (9, xs.size)
+        assert ys[0].tobytes() == xs.tobytes()
+        for N in range(1, 9):
+            assert ys[N].tobytes() == iterate_n(xs, N, p).tobytes()
+
+
+def test_period_points_match_one_pair_calls_in_any_order():
+    # pairs of one p need not be adjacent nor their N ascending, and a pair
+    # may repeat; each gets exactly the one-pair result
+    ps = [osc(0.93), osc(1.49, x_b=-0.21), osc(1.2, M=0.7, x_b=0.3)]
+    pairs = [(ps[1], 5), (ps[0], 2), (ps[1], 1), (ps[2], 8), (ps[0], 6),
+             (ps[1], 5), (ps[2], 3)]
+    got = dynamics._period_points(pairs)
+    assert [_fp_bits(fps) for fps in got] == [
+        _fp_bits(fixed_points_of_iterate(p, N)) for p, N in pairs]
+    assert all(got)
 
 
 def test_iterate_matches_unhoisted_loop_bitwise():

@@ -69,6 +69,11 @@ def test_space_validation_and_roundtrip():
         SearchSpace(rho=(0.5, 0.5))
     with pytest.raises(ConfigurationError):
         SearchSpace(lam=(0.0, 1.0))
+    for bounds in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SearchSpace(G=bounds)
+    with pytest.raises(ConfigurationError, match="finite"):
+        SearchSpace(lam=(1e-8, math.inf))
     s = SearchSpace(G=(0.2, 0.9))
     assert SearchSpace.from_dict(s.as_dict()) == s
 
@@ -346,6 +351,19 @@ def test_run_study_validation():
         run_study(task="nope", budget=1)
 
 
+@pytest.mark.parametrize("option", [
+    {"n_startup": 0}, {"n_startup": -5}, {"n_candidates": 0},
+    {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -1.0},
+    {"gamma": 0.0}, {"gamma": 1.5},
+])
+def test_run_study_refuses_bad_tpe_options_before_any_trial(tmp_path,
+                                                             option):
+    path = tmp_path / "study.jsonl"
+    with pytest.raises(ConfigurationError, match=next(iter(option))):
+        run_study(task="sine_square", budget=3, path=path, **option)
+    assert not path.exists()
+
+
 # ------------------------------------------------------------ delay sweep
 
 def test_resonance_sweep_rows():
@@ -361,6 +379,13 @@ def test_resonance_sweep_rows():
         assert r.repeats == 2
         assert np.isfinite(r.nmse_mean)
         assert r.nmse_std >= 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_resonance_sweep_refuses_non_finite_grid_values(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        resonance_sweep("sine_square", dict(rho=0.9, G=0.56, Phi0=0.2,
+                                            lam=1e-6), (0.5, bad))
 
 
 def test_resonance_sweep_builds_each_series_once(monkeypatch):
