@@ -19,8 +19,9 @@ stream.
 The lockstep section times R rows driven together against the same R
 rows one at a time, per row, for R = 1..5, and scans d at block widths
 d*R up to 48 for the crossover width at each R, and their median: what
-_LOOP_BELOW is set from. It also prints how many rows
-of the default sine_square stream fit hyperopt._LOCKSTEP_BYTES.
+_LOOP_BELOW is set from. It also prints the groups of rows that a delay
+sweep over seeds 0-4 of the default sine_square stream drives in
+lockstep (hyperopt._lockstep_groups under hyperopt._LOCKSTEP_BYTES).
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from delayrc import _kernels, dynamics, hyperopt, tasks
+from delayrc import _kernels, dynamics, hyperopt, pipeline
 
 PARAMS = (0.9, 0.983, 0.85, 0.9, 0.63)   # G, M, beta, rho, Phi0
 K = 50                                   # samples per cycle
@@ -317,10 +318,11 @@ def bench_lockstep(n):
     print(f"median crossover width {median} (_LOOP_BELOW "
           f"{_kernels._LOOP_BELOW})")
 
-    width = max(tasks.gen_sine_square(seed=s).n_steps for s in range(5)) * K + 100
-    print(f"\nhyperopt._LOCKSTEP_BYTES = {hyperopt._LOCKSTEP_BYTES:,} B holds "
-          f"{hyperopt._LOCKSTEP_BYTES // (8 * width)} rows of the default "
-          f"sine_square stream (longest of seeds 0-4, d=100: {width:,} samples)")
+    t, _, data = pipeline.task_setup("sine_square")
+    groups = hyperopt._lockstep_groups(data, range(5), t["k"])
+    print(f"\nhyperopt._LOCKSTEP_BYTES = {hyperopt._LOCKSTEP_BYTES:,} B: "
+          "lockstep groups of the default sine_square stream's seeds 0-4 "
+          f"{[len(g) for g in groups]}")
 
 
 def main():

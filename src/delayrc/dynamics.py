@@ -592,12 +592,11 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     n_steps = int(round(duration / dt))
     q = p.tau / dt
     shift = 1 if p.T_R > 0 else 0
-    pre = np.zeros(n_steps + 1)
-    for j in range(1, n_steps + 1):
-        jj = (j - shift) - q
-        if jj >= 0.0:
-            break   # jj grows with j: no later step looks back before t=0
-        pre[j] = float(history(jj * dt))
+    # pre[j] is read only by the steps whose lookback (j - shift) - q lands
+    # before t=0, j < q + shift
+    pre = np.zeros(min(n_steps, math.ceil(q) - 1 + shift) + 1)
+    for j in range(1, pre.size):
+        pre[j] = float(history(((j - shift) - q) * dt))
     V0 = float(history(0.0))
     if not (math.isfinite(V0) and np.all(np.isfinite(pre))):
         raise ConfigurationError("history must be finite on [-tau, 0]")

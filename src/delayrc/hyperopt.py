@@ -144,6 +144,17 @@ def _to_model_space(name, v):
     return np.log10(v) if name in _LOG_DIMS else np.asarray(v, dtype=float)
 
 
+def _check_tpe_options(n_startup, gamma, n_candidates):
+    """Refuse tpe_suggest options it cannot draw with."""
+    if n_startup < 1:
+        raise ConfigurationError(f"n_startup must be >= 1, got {n_startup}")
+    if n_candidates < 1:
+        raise ConfigurationError(
+            f"n_candidates must be >= 1, got {n_candidates}")
+    if not 0 < gamma <= 1:   # also false for nan
+        raise ConfigurationError(f"gamma must be in (0, 1], got {gamma!r}")
+
+
 def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
                 n_candidates: int = 24, rng=None, n_startup: int = 20) -> dict:
     """Parzen-density suggestion: split past trials at the gamma loss
@@ -153,6 +164,7 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     Falls back to a uniform draw while fewer than n_startup trials exist or
     when the history is degenerate (all losses identical).
     """
+    _check_tpe_options(n_startup, gamma, n_candidates)
     rng = np.random.default_rng() if rng is None else rng
     trials = history.trials if isinstance(history, Study) else list(history)
     ok = [t for t in trials if t.ok and t.loss is not None]
@@ -239,13 +251,12 @@ def run_study(task: str, template: dict | None = None,
     seeds: {"sampler", "data", "mask"}. Missing template and seed entries
     come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
     data seed is held fixed so the surrogate sees a noiseless objective.
-    The suggestion options need n_startup >= 1, n_candidates >= 1 and
-    0 < gamma <= 1; they are checked before any trial runs. If path
-    exists the study found there is continued up to the requested
-    budget (deterministically identical to an uninterrupted run). While it
-    runs, the study holds a lock on the directory of path, and a second
-    study on that directory raises ConfigurationError instead of
-    interleaving its appends.
+    The suggestion options are checked as tpe_suggest checks them, before
+    any trial runs. If path exists the study found there is continued up
+    to the requested budget (deterministically identical to an
+    uninterrupted run). While it runs, the study holds a lock on the
+    directory of path, and a second study on that directory raises
+    ConfigurationError instead of interleaving its appends.
     """
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
@@ -254,13 +265,7 @@ def run_study(task: str, template: dict | None = None,
     if not 1 <= width <= MAX_WIDTH:
         raise ConfigurationError(
             f"width must be in [1, {MAX_WIDTH}], got {width}")
-    if n_startup < 1:
-        raise ConfigurationError(f"n_startup must be >= 1, got {n_startup}")
-    if n_candidates < 1:
-        raise ConfigurationError(
-            f"n_candidates must be >= 1, got {n_candidates}")
-    if not 0 < gamma <= 1:   # also false for nan
-        raise ConfigurationError(f"gamma must be in (0, 1], got {gamma!r}")
+    _check_tpe_options(n_startup, gamma, n_candidates)
     space = space or SearchSpace()
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
@@ -340,31 +345,28 @@ class SweepRow:
 
 
 # bytes the states of one lockstep group of a delay sweep may take: the
-# repeats are driven in groups of as many rows as fit (at least one).
-# Three rows of the default sine_square stream (~525k samples, 4.2 MB)
-# fit, a fourth would not. More rows run faster per row, but each adds
-# its states to the sweep's peak memory: with three, a default sweep
-# peaks at 75.5 MB against 71.0 MB one row at a time (2-core x86 host;
-# benchmarks/bench_kernels.py --section lockstep, BENCH_6.json)
+# repeats are driven in groups of as many rows as fit (at least one): the
+# five default sine_square seeds (474k-544k samples, 3.8-4.4 MB each) run
+# as 3 + 2. More rows run faster per row, but each adds its states to the
+# sweep's peak memory: with three, a default sweep peaks at 75.5 MB
+# against 71.0 MB one row at a time (2-core x86 host; BENCH_6.json;
+# benchmarks/bench_kernels.py --section lockstep prints the groups)
 _LOCKSTEP_BYTES = 16 * 2**20
 
 
-def _lockstep_groups(data, data_seeds, k, d_max):
+def _lockstep_groups(data, data_seeds, k):
     """Consecutive groups of (series, split) of the data seeds, each
-    holding as many as fit _LOCKSTEP_BYTES: a row's states take its stream
-    plus d_max samples. A series is built once, just before it joins."""
-    def width(series):
-        # a delay longer than its stream is refused before it is run
-        n = series.n_steps * k
-        return n + min(d_max, n)
-
+    holding as many as fit _LOCKSTEP_BYTES: the recursion keeps rows x
+    samples, a row being n_steps * k samples of the group's longest
+    stream. A series is built once, just before it joins."""
     group, w = [], 0
     for seed in data_seeds:
         series, split = data(seed)
-        grown = max(w, width(series))
+        n = series.n_steps * k
+        grown = max(w, n)
         if group and (len(group) + 1) * grown * 8 > _LOCKSTEP_BYTES:
             yield group
-            group, grown = [], width(series)
+            group, grown = [], n
         group.append((series, split))
         w = grown
     yield group
@@ -376,12 +378,12 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
                     task_options: dict | None = None) -> list[SweepRow]:
     """NMSE versus delay-to-clock ratio with all other tunables held fixed.
 
-    Grid values that land on an integer sample delay d already taken by an
-    earlier value are collapsed: the first value for each d is kept, so the
-    rows may be fewer than the grid values. Statistics are over `repeats`
-    data seeds (seeds["data"] + r). Each seed's series is built once. At
-    each d the seeds' reservoirs run in lockstep, in groups whose states
-    fit _LOCKSTEP_BYTES.
+    Every grid value is configured before any series is built. Values
+    whose configs share a sample delay d are collapsed: the first value
+    for each d is kept, so the rows may be fewer than the grid values.
+    Statistics are over `repeats` data seeds (seeds["data"] + r). Each
+    seed's series is built once. At each d the seeds run in lockstep
+    (pipeline.evaluate_rows), in groups whose states fit _LOCKSTEP_BYTES.
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
@@ -393,24 +395,21 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     t, o, data = pipeline.task_setup(task, template, task_options)
-    kept = {}                                  # d -> first grid value
+    kept = {}                          # d -> (first grid value, its config)
     for v in grid:
-        kept.setdefault(int(round(t["k"] * v)), v)
+        cfg = pipeline.reservoir_config(t, {**base_params, "tau_over_T": v},
+                                        seeds["mask"])
+        kept.setdefault(cfg.sample_delay, (v, cfg))
     losses = {d: [] for d in kept}
     data_seeds = range(seeds["data"], seeds["data"] + repeats)
-    for group in _lockstep_groups(data, data_seeds, t["k"], max(kept)):
-        for d, v in kept.items():
-            params = {**base_params, "tau_over_T": v}
-            cfg = pipeline.reservoir_config(t, params, seeds["mask"])
-            for res in pipeline.evaluate_rows(group, cfg, params["lam"],
+    for group in _lockstep_groups(data, data_seeds, t["k"]):
+        for d, (_, cfg) in kept.items():
+            for res in pipeline.evaluate_rows(group, cfg, base_params["lam"],
                                               o["washout"], t["add_bias"]):
                 losses[d].append(res.nmse_test)
-    rows = []
-    for d, v in kept.items():
-        arr = np.array(losses[d])
-        rows.append(SweepRow(v, d, float(arr.mean()), float(arr.std()),
-                             repeats))
-    return rows
+    return [SweepRow(v, d, float(np.mean(losses[d])),
+                     float(np.std(losses[d])), repeats)
+            for d, (v, _) in kept.items()]
 
 
 def sweep_to_rows(rows):
@@ -478,6 +477,9 @@ def load_study(path) -> Study:
         head = json.loads(lines[0])
         if head.get("record") != "header":
             raise ConfigurationError(f"{path} does not start with a study header")
+        if head.get("format_version") != _FORMAT_VERSION:
+            raise ConfigurationError(f"{path} is not a version "
+                                     f"{_FORMAT_VERSION} study file")
         study = Study(space=SearchSpace.from_dict(head["space"]),
                       objective=head["objective"],
                       sampler_seed=head["sampler_seed"])

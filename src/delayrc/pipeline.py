@@ -1,8 +1,8 @@
 """End-to-end evaluation: data generation, reservoir run, ridge training
 and scoring. Everything downstream (CLI, hyperparameter search, sweeps)
-funnels through fit_and_score, after the states of one series
-(evaluate_series) or of several in lockstep (evaluate_rows), so train/test
-bookkeeping lives in exactly one place."""
+funnels through evaluate_rows (evaluate_series is its one-row case), so
+mask, recursion, fit and score and their train/test bookkeeping live in
+exactly one place."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from . import tasks
 from .exceptions import ConfigurationError
 from .readout import classify_sequences, nmse, nrmse, predict, train_ridge
 from .reservoir import (ReservoirConfig, check_stream_samples, make_input_mask,
-                        run_reservoir, run_reservoir_rows)
+                        run_reservoir_rows)
 from .tasks import LabeledSeries, Split, SplitPart
 
 __all__ = [
@@ -73,24 +73,22 @@ def _scoring_mask(side: SplitPart, series: LabeledSeries, washout: int):
 def evaluate_series(series: LabeledSeries, cfg: ReservoirConfig, lam: float,
                     split: Split, part_washout: int = 0,
                     add_bias: bool = False) -> EvalResult:
-    """Run the reservoir over the whole stream, fit on the train side,
-    score both sides.
-
-    The reservoir is run with washout_cycles forced to 0 so state columns
-    stay aligned one-to-one with series steps; transient suppression is the
-    per-part washout applied to the scoring masks instead.
-    """
-    cfg0 = replace(cfg, washout_cycles=0)
-    mask = make_input_mask(cfg0.k, cfg0.mask_seed)
-    X = run_reservoir(series.u, cfg0, mask).entries
-    return fit_and_score(X, series, cfg0, lam, split, part_washout, add_bias)
+    """evaluate_rows on the one row (series, split)."""
+    return evaluate_rows([(series, split)], cfg, lam, part_washout,
+                         add_bias)[0]
 
 
 def evaluate_rows(group, cfg: ReservoirConfig, lam: float,
                   part_washout: int = 0,
                   add_bias: bool = False) -> list[EvalResult]:
-    """evaluate_series on each (series, split) of group, with the states
-    of all of them from one lockstep recursion (run_reservoir_rows)."""
+    """Run the reservoir over the whole stream of every (series, split) of
+    group in one lockstep recursion (run_reservoir_rows), fit each on its
+    train side and score both sides.
+
+    The reservoir is run with washout_cycles forced to 0 so state columns
+    stay aligned one-to-one with series steps; transient suppression is the
+    per-part washout applied to the scoring masks instead.
+    """
     cfg0 = replace(cfg, washout_cycles=0)
     mask = make_input_mask(cfg0.k, cfg0.mask_seed)
     states = run_reservoir_rows([series.u for series, _ in group], cfg0,
@@ -205,13 +203,13 @@ def task_setup(task: str, template: dict | None = None,
     """(template, options, data(seed)) of a benchmark id: template and
     options override TEMPLATE_DEFAULTS and the task's TASK_DEFAULTS entry.
     The stream size is checked against MAX_STREAM_SAMPLES before any data
-    is built."""
+    is built; data(seed) is _last_seed_cached."""
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
     t = {**TEMPLATE_DEFAULTS, **(template or {})}
     o = {**TASK_DEFAULTS[task], **(options or {})}
     check_stream_samples(_max_cycles(task, o) * t["k"], f"task {task}")
-    return t, o, _task_data(task, o)
+    return t, o, _last_seed_cached(_task_data(task, o))
 
 
 def reservoir_config(t: dict, params: dict, mask_seed: int) -> ReservoirConfig:
@@ -233,7 +231,6 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
     first call with a data seed and kept until a call with another seed.
     """
     t, o, data = task_setup(task, template, options)
-    data = _last_seed_cached(data)
 
     def eval_fn(params, data_seed):
         series, split = data(data_seed)

@@ -21,6 +21,9 @@ def test_bench_kernels_section_runs(section):
     assert proc.returncode == 0, proc.stderr
     assert "bitwise" in proc.stdout
     assert "DIFFER" not in proc.stdout
+    if section == "lockstep":
+        assert "lockstep groups of the default sine_square stream's seeds " \
+               "0-4 [3, 2]" in proc.stdout
     if section == "dynamics":
         split = next(line for line in proc.stdout.splitlines()
                      if "split by stage" in line)

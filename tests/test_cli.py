@@ -172,6 +172,18 @@ def test_optimize_resume_completes_budget(run_cli):
     assert len(lines) == 1 + 6
 
 
+def test_optimize_resume_of_another_format_version_exits_2(run_cli):
+    args = ["optimize", "optimize.n_startup=2"] + FAST_SS
+    code, _, _, outdir = run_cli(args + ["optimize.budget=2"])
+    assert code == 0
+    path = outdir / "study.jsonl"
+    path.write_text(path.read_text().replace('"format_version":1,',
+                                             '"format_version":99,'))
+    code, _, err, _ = run_cli(args + ["optimize.budget=3"])
+    assert code == 2
+    assert "version 1" in err
+
+
 def test_sweep_delay_collapses_duplicate_delays(run_cli):
     code, out, _, outdir = run_cli(
         ["sweep-delay", "sweep.grid=0.26,0.268,0.5", "sweep.repeats=1"] + FAST_SS)

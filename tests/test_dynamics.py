@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from dataclasses import replace
@@ -918,7 +919,24 @@ def test_dde_prefill_matches_full_loop(monkeypatch, T_R, dt):
     def history(t):
         return 0.1 + 0.3 * math.sin(7.0 * t)
     integrate_dde(p, history, 4.0, dt)
-    assert seen[0].tobytes() == _prefill_full_loop(p, history, 4.0, dt).tobytes()
+    full = _prefill_full_loop(p, history, 4.0, dt)
+    # pre stops at the last step that looks back before t=0
+    n = seen[0].size
+    assert seen[0].tobytes() == full[:n].tobytes()
+    assert n < full.size and not full[n:].any()
+
+
+def test_dde_history_buffer_holds_only_the_lookback_steps():
+    # tau/dt = 1000 of 200,000 steps look back before t=0; the trace and
+    # its time axis take 8(n+1) bytes each
+    n = 200_000
+    tracemalloc.start()
+    try:
+        integrate_dde(_phys(0.93, 0.01), lambda t: 0.1, n * 1e-3, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * (n + 1)
 
 
 def test_dde_step_size_validation():

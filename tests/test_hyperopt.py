@@ -230,6 +230,17 @@ def test_load_study_drops_torn_final_line_only(tmp_path):
         load_study(path)
 
 
+def test_load_study_refuses_other_format_versions(tmp_path):
+    path = tmp_path / "s.jsonl"
+    save_study(search(quad_objective, SearchSpace(), 2), path)
+    whole = path.read_bytes()
+    assert b'"format_version":1,' in whole
+    for header in (b'"format_version":99,', b""):
+        path.write_bytes(whole.replace(b'"format_version":1,', header))
+        with pytest.raises(ConfigurationError, match="version 1"):
+            load_study(path)
+
+
 def test_save_study_replaces_file_whole(tmp_path):
     study = search(quad_objective, SearchSpace(), 2, seed=0)
     path = tmp_path / "s.jsonl"
@@ -364,6 +375,19 @@ def test_run_study_refuses_bad_tpe_options_before_any_trial(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("option", [
+    {"n_candidates": 0}, {"gamma": math.nan}, {"n_startup": 0},
+])
+def test_tpe_suggest_refuses_bad_options(option):
+    # four trials reach the density model at n_startup=2; n_startup=0 asks
+    # for it on an empty history
+    history = ([] if "n_startup" in option
+               else search(quad_objective, SearchSpace(), 4).trials)
+    with pytest.raises(ConfigurationError, match=next(iter(option))):
+        tpe_suggest(history, SearchSpace(), rng=np.random.default_rng(0),
+                    **{"n_startup": 2, **option})
+
+
 # ------------------------------------------------------------ delay sweep
 
 def test_resonance_sweep_rows():
@@ -386,6 +410,22 @@ def test_resonance_sweep_refuses_non_finite_grid_values(bad):
     with pytest.raises(ConfigurationError, match="finite"):
         resonance_sweep("sine_square", dict(rho=0.9, G=0.56, Phi0=0.2,
                                             lam=1e-6), (0.5, bad))
+
+
+def test_resonance_sweep_refuses_bad_params_before_building_series(
+        monkeypatch):
+    calls = []
+    real = tasks.gen_narma10
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tasks, "gen_narma10", counting)
+    with pytest.raises(ConfigurationError, match="G must be positive"):
+        resonance_sweep("narma10", dict(rho=0.9, G=0.0, Phi0=0.2, lam=1e-6),
+                        (0.5, 1.0), repeats=2,
+                        task_options={"length": 600, "washout": 20})
+    assert calls == []
 
 
 def test_resonance_sweep_builds_each_series_once(monkeypatch):
@@ -420,9 +460,9 @@ def test_resonance_sweep_runs_ragged_seeds_in_lockstep(monkeypatch,
     real = tasks.gen_sine_square
     lengths = [real(4, (3, 5), 8, seed=s).n_steps for s in range(5)]
     assert len(set(lengths)) > 1   # the streams are ragged
-    if budget_rows:   # room for two rows of the longest stream plus d
+    if budget_rows:   # room for exactly the two rows of seeds 2 and 3
         monkeypatch.setattr(hyperopt, "_LOCKSTEP_BYTES",
-                            budget_rows * 8 * (max(lengths) * 50 + 100))
+                            budget_rows * 8 * max(lengths[2:4]) * 50)
     calls, groups = [], []
 
     def counting(*args, **kwargs):
