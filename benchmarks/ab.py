@@ -1,0 +1,225 @@
+#!/usr/bin/env python3
+"""A/B comparison of two git revisions, in alternated pairs.
+
+perfbench mode exports both revisions into a temporary directory (git
+archive; nothing is fetched) and runs each tree's own
+
+    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
+
+from the root of that tree, one process at a time. Pair N (seed N) runs
+every workload on both sides; odd pairs run the parent first, even pairs
+the change. Each run's values are run.py's medians over its calls. The
+result is a BENCH_*.json "perfbench" section: per pair, both sides'
+end-to-end metrics, correct and attempted/failed; per workload and metric,
+the median and inclusive quartiles over runs of each side, the change's
+relative worsening in the metric's direction against the bound that
+BENCHMARK.json fixes, the parent's own spread (interquartile range over
+median), the pairs the change wins (ties count for neither), and whether
+the gain rule holds: the change wins at least 9 of 10 pairs and its median
+is better than the parent's by more than the parent's interquartile
+range. The workloads, metric names, directions and bounds, the command and
+the run length are read from the change's BENCHMARK.json, and every
+declared workload is run; perfbench/ and BENCHMARK.json are read, never
+written.
+
+calls mode imports the package of both trees into one process, under two
+package names, and times one statement on each, alternating which side
+goes first in every round, so that host drift reaches both sides alike.
+The statement sees the package as `pkg` and the names the setup statement
+defines, which runs once per side.
+
+Usage:
+  python3 benchmarks/ab.py perfbench PARENT CHANGE [--pairs N] [--out FILE]
+  python3 benchmarks/ab.py calls PARENT CHANGE --stmt STMT [--setup STMT]
+      [--rounds N]
+
+PARENT and CHANGE are git revisions of this repository (`git stash create`
+names the working tree's tracked files as one).
+"""
+
+import argparse
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def export(rev, dest):
+    """Write the tree of git revision rev into the new directory dest."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_perfbench(tree, workload, seed, seconds, command):
+    """One benchmark run from the root of tree: run.py's result object (its
+    last stdout line)."""
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(pairs, metrics):
+    """Per metric of BENCHMARK.json's end_to_end list: both sides' medians
+    and quartiles, worsening against the bound, parent spread, wins and
+    the gain rule over the pairs of one workload."""
+    out = {}
+    for m in metrics:
+        name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
+        vals = {s: [p[s][name] for p in pairs.values()] for s in SIDES}
+        med = {s: statistics.median(vals[s]) for s in SIDES}
+        quart = {s: _quartiles(vals[s]) for s in SIDES}
+        iqr = quart["parent"][1] - quart["parent"][0]
+        worse = (sign * (med["parent"] - med["change"]) / abs(med["parent"])
+                 if med["parent"] else 0.0)
+        wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0
+                   for p in pairs.values())
+        out[name] = {
+            "parent_median": round(med["parent"], 4),
+            "parent_quartiles": [round(v, 4) for v in quart["parent"]],
+            "change_median": round(med["change"], 4),
+            "change_quartiles": [round(v, 4) for v in quart["change"]],
+            "relative_worsening": round(worse, 4),
+            "bound": m["bound"],
+            "parent_spread_rel": (round(iqr / abs(med["parent"]), 4)
+                                  if med["parent"] else 0.0),
+            "change_wins": f"{wins}/{len(pairs)}",
+            "gain_rule": (10 * wins >= 9 * len(pairs)
+                          and sign * (med["change"] - med["parent"]) > iqr),
+            "status": ("within bound" if worse <= m["bound"]
+                       else "worse than bound"),
+        }
+    return out
+
+
+def perfbench(parent, change, pairs, runner=run_perfbench, log=sys.stderr):
+    """Alternated pairs of perfbench runs of the trees parent and change:
+    the "perfbench" section of a BENCH file."""
+    declared = json.loads((Path(change) / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+    command = declared["command"]
+    metrics = declared["end_to_end"]
+    trees = {"parent": parent, "change": change}
+    result = {w: {"pairs": {}} for w in workloads}
+    for i in range(1, pairs + 1):
+        order = SIDES if i % 2 else SIDES[::-1]
+        for w in workloads:
+            pair = {"first": order[0], "correct": {}, "attempted_failed": {}}
+            for side in order:
+                res = runner(trees[side], w, i, seconds, command)
+                pair[side] = {m["name"]: round(res["metrics"][m["name"]]
+                                               ["value"], 4)
+                              for m in metrics}
+                pair["correct"][side] = res["correct"]
+                pair["attempted_failed"][side] = [res["attempted"],
+                                                  res["failed"]]
+                print(f"pair {i} {w} {side}: "
+                      + json.dumps({"correct": res["correct"], **pair[side]}),
+                      file=log, flush=True)
+            result[w]["pairs"][str(i)] = pair
+    for w in workloads:
+        result[w]["summary"] = summarize(result[w]["pairs"], metrics)
+    return {
+        "command": " ".join(command) + f" --workload W --seed N --seconds "
+                   f"{seconds} --trace 0",
+        "protocol": "parent and change alternated per pair (odd pairs parent "
+                    "first, even pairs change first), each side from its own "
+                    "exported tree, fresh processes, one run at a time; pairs "
+                    f"1..{pairs} per workload (seed = pair), the workloads "
+                    "interleaved within each pair; per-run values are "
+                    "run.py's medians over its calls; median and quartiles "
+                    "(inclusive) are over runs; relative_worsening > 0 means "
+                    "worse in the metric's direction; parent_spread_rel = "
+                    "parent interquartile range over parent median; "
+                    "gain_rule: the change wins at least 9/10 of the pairs "
+                    "and its median beats the parent's by more than the "
+                    "parent's interquartile range",
+        "workloads": result,
+    }
+
+
+def import_tree(tree, name):
+    """The package src/delayrc of tree, imported as `name`."""
+    pkg_dir = Path(tree) / "src" / "delayrc"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def calls(parent, change, stmt, setup="", rounds=20, log=sys.stdout):
+    """Time stmt on both trees' packages in one process, alternating which
+    side goes first each round. Returns {side: [seconds per round]}."""
+    spaces = {}
+    for side, tree in (("parent", parent), ("change", change)):
+        spaces[side] = {"pkg": import_tree(tree, f"delayrc_{side}")}
+        exec(setup, spaces[side])
+    code = compile(stmt, "<stmt>", "exec")
+    times = {s: [] for s in SIDES}
+    for r in range(rounds):
+        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            exec(code, spaces[side])
+            times[side].append(time.perf_counter() - t0)
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    print(f"{rounds} alternated rounds: parent median "
+          f"{statistics.median(times['parent']) * 1e3:.2f} ms, change median "
+          f"{statistics.median(times['change']) * 1e3:.2f} ms, change/parent "
+          f"per round: median {statistics.median(ratios):.3f}, range "
+          f"{min(ratios):.3f}-{max(ratios):.3f}", file=log)
+    return times
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("mode", choices=("perfbench", "calls"))
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", help="write the section as JSON here")
+    ap.add_argument("--stmt")
+    ap.add_argument("--setup", default="")
+    ap.add_argument("--rounds", type=int, default=20)
+    args = ap.parse_args(argv)
+    if args.mode == "calls" and not args.stmt:
+        ap.error("calls mode needs --stmt")
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {}
+        for side in SIDES:
+            trees[side] = Path(tmp, side)
+            export(getattr(args, side), trees[side])
+        if args.mode == "calls":
+            calls(trees["parent"], trees["change"], args.stmt, args.setup,
+                  args.rounds)
+            return 0
+        section = perfbench(trees["parent"], trees["change"], args.pairs)
+    text = json.dumps(section, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

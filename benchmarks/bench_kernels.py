@@ -5,23 +5,36 @@ The reservoir update is an inherently sequential recursion (each sample
 feeds back d steps later). The numpy kernel, evolve_samples_numpy, takes
 the held input u and the mask and forms the masked input chunk by chunk;
 u holds rows x cycles (one stream is one row), and rows run in lockstep,
-interleaved in one buffer. Each chunk runs as a per-sample loop on Python
-floats when the block width d*rows is below _kernels._LOOP_BELOW, and as
-a block recursion that advances d samples of every row per round of numpy
-calls otherwise; the numba kernel compiles the plain loop. All of them
-produce bitwise-identical streams. This script times each strategy by
-setting _kernels._LOOP_BELOW for the call (0 runs blocks only, 10**9 the
-loop only) and restoring it. The recursion section times both strategies
-on one stream at several delays, checks that they agree, and scans d for
-the block width from which the blocks are faster than the loop on one
-stream.
+interleaved in one buffer. Narrow rows are cut into time segments that
+run as more lockstep rows and are kept where they merge bit for bit with
+a run from the exact history. Each chunk runs as a per-sample loop on
+Python floats when the block width d*rows is below _kernels._LOOP_BELOW,
+and as a block recursion that advances d samples of every row per round
+of numpy calls otherwise; the numba kernel compiles the plain loop. All
+of them produce bitwise-identical streams. This script times each
+strategy by setting _kernels constants for the call and restoring them:
+_LOOP_BELOW (0 runs blocks only, 10**9 the loop only) with segmentation
+off (_SEGMENT_WIDTH 0), so a strategy runs on the rows as given. The
+recursion section times both strategies on one stream at several delays,
+checks that they agree, and scans d for the block width from which the
+blocks are faster than the loop on one stream.
 
 The lockstep section times R rows driven together against the same R
-rows one at a time, per row, for R = 1..5, and scans d at block widths
-d*R up to 48 for the crossover width at each R, and their median: what
-_LOOP_BELOW is set from. It also prints the groups of rows that a delay
-sweep over seeds 0-4 of the default sine_square stream drives in
-lockstep (hyperopt._lockstep_groups under hyperopt._LOCKSTEP_BYTES).
+rows one at a time, per row, for R = 1..5 at the default dispatch
+(segments included), and scans d at block widths d*R up to 48 for the
+crossover width at each R, and their median: what _LOOP_BELOW is set
+from. It also prints the groups of rows that a delay sweep over seeds 0-4
+of the default sine_square stream drives in lockstep
+(hyperopt._lockstep_groups under hyperopt._LOCKSTEP_BYTES).
+
+The segments section times the README's narma10 reservoir on the narma10
+series (n_samples of it) at ten delays, and the default sine_square
+sweep's first lockstep group (seeds 0-2, the CLI's default reservoir) at
+the sweep's eight delays, run whole against segmented. It prints the
+segment count S, the merge sample counts (from a later segment's start
+until a run of it from zero history agrees bitwise with the exact states
+on d samples), the rows that fell back, and whether the two runs are
+bitwise equal.
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -32,11 +45,14 @@ with its CSV written, split into the grid images, bisection, period check
 orbits and CSV emission; that CSV must be bitwise the one an unwrapped
 run writes. It also times an integrate_dde call of 5 * n_samples steps
 (2,000,000 by default). Run it with PYTHONPATH pointing at another
-checkout's src to time that version.
+checkout's src to time that version (the segments section needs one that
+segments). Tables from two processes on a shared host drift apart; to
+compare two versions of a call, time both in one process with
+benchmarks/ab.py calls.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
-  S is recursion, lockstep, dynamics or all (default). n_samples is per
-  stream (default 400,000).
+  S is recursion, lockstep, segments, dynamics or all (default).
+  n_samples is per stream (default 400,000).
 """
 
 import argparse
@@ -47,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from delayrc import _kernels, dynamics, hyperopt, pipeline
+from delayrc import _kernels, dynamics, hyperopt, pipeline, reservoir
 
 PARAMS = (0.9, 0.983, 0.85, 0.9, 0.63)   # G, M, beta, rho, Phi0
 K = 50                                   # samples per cycle
@@ -60,30 +76,38 @@ def held_input(rows, n, seed=0):
                               rng.uniform(-1.0, 1.0, K))
 
 
-def bench(fn, J, d, history, repeats=3):
+def bench(fn, J, d, history, repeats=3, params=PARAMS):
     best = float("inf")
     out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn(J, d, *PARAMS, history)
+        out = fn(J, d, *params, history)
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
-def strategy(loop_below):
-    """evolve_samples_numpy with _kernels._LOOP_BELOW set to loop_below for
-    the call and restored after it."""
+def strategy(**settings):
+    """evolve_samples_numpy with the _kernels constants in settings set
+    for the call and restored after it."""
     def run(*args):
-        saved = _kernels._LOOP_BELOW
-        _kernels._LOOP_BELOW = loop_below
+        # older checkouts lack some of the constants: those are skipped
+        saved = {name: getattr(_kernels, name) for name in settings
+                 if hasattr(_kernels, name)}
+        for name in saved:
+            setattr(_kernels, name, settings[name])
         try:
             return _kernels.evolve_samples_numpy(*args)
         finally:
-            _kernels._LOOP_BELOW = saved
+            for name, value in saved.items():
+                setattr(_kernels, name, value)
     return run
 
 
-loop, blocks = strategy(10**9), strategy(0)
+# each chunk strategy on the rows as given, and the rows run whole at the
+# default pick: segmentation off
+loop = strategy(_LOOP_BELOW=10**9, _SEGMENT_WIDTH=0)
+blocks = strategy(_LOOP_BELOW=0, _SEGMENT_WIDTH=0)
+whole = strategy(_SEGMENT_WIDTH=0)
 
 
 def crossover(J, ds):
@@ -325,15 +349,113 @@ def bench_lockstep(n):
           f"{[len(g) for g in groups]}")
 
 
+def merge_sample(a, b, d):
+    """Samples from the start of a and b until they agree bitwise on d
+    consecutive samples, or None if they never do."""
+    same = np.concatenate(([0], np.cumsum(a.view(np.int64)
+                                          == b.view(np.int64))))
+    hits = np.flatnonzero(same[d:] - same[:-d] == d)
+    return int(hits[0]) + d if hits.size else None
+
+
+def segmented(J, d, params):
+    """(best-of-3 seconds segmented, the same run whole, the segmented
+    states, the whole ones, rows that fell back): fallbacks are the rows
+    whose frontier _kernels._segments left before its last segment."""
+    fallbacks = [0]
+    segments = _kernels._segments
+
+    def watched(J, d, p, histories, out, S):
+        frontier = segments(J, d, p, histories, out, S)
+        fallbacks[0] = int((frontier < J.u.shape[1] // S * S).sum())
+        return frontier
+
+    history = np.zeros(d)
+    t_whole, ref = bench(whole, J, d, history, params=params)
+    _kernels._segments = watched
+    try:
+        t_seg, out = bench(_kernels.evolve_samples_numpy, J, d, history,
+                           params=params)
+    finally:
+        _kernels._segments = segments
+    return t_seg, t_whole, out, ref, fallbacks[0]
+
+
+def merges(J, d, params, exact):
+    """Merge samples of every segment after the first of every row: a
+    zero-history run of the segment against the exact states there."""
+    R, cycles = J.u.shape
+    k = J.mask.size
+    S = _kernels._segment_count(d, R, cycles, k)
+    L = cycles // S
+    if S < 2:
+        return []
+    u = J.u[:, L:S * L].reshape(R * (S - 1), L)
+    zero = whole(_kernels.HeldInput(u, J.mask), d, *params, np.zeros(d))
+    ref = exact[:, L * k:S * L * k].reshape(R * (S - 1), L * k)
+    return [merge_sample(a, b, d) for a, b in zip(zero, ref)]
+
+
+def bench_segments(n):
+    """One stream, and the sweep's 3-row lockstep group, cut into time
+    segments against the same rows run whole."""
+    mask = reservoir.make_input_mask(K, 0).values
+    _, _, data = pipeline.task_setup("narma10", options={"length": n // K})
+    narma = _kernels.HeldInput(data(0)[0].u[None], mask)
+    # README's narma10 reservoir (G, M, beta, rho, Phi0)
+    narma_params = (0.54, 0.983, 1.0, 0.22, 3.12)
+    _, _, data = pipeline.task_setup("sine_square")
+    us = [data(seed)[0].u[:n // K] for seed in range(3)]
+    group = np.zeros((3, max(u.size for u in us)))
+    for row, u in zip(group, us):
+        row[:u.size] = u
+    sweep = _kernels.HeldInput(group, mask)
+    # the CLI's default reservoir, which a delay sweep holds fixed
+    sweep_params = (0.39, 0.983, 1.0, 0.19, 0.67 * np.pi)
+    print(f"time-segmented recursion, up to {n // K * K:,} samples per row, "
+          f"k={K}, best of 3: the rows run whole (segmentation off) against "
+          f"cut into S segments (_SEGMENT_WIDTH {_kernels._SEGMENT_WIDTH}, "
+          f"first window {_kernels._WINDOW} cycles, windows up to "
+          f"1/{_kernels._WINDOW_SHARE} of a segment, segments of at least "
+          f"{_kernels._MIN_TRIPS} round trips of d). merge: samples from a "
+          "later segment's start until its zero-history run agrees bitwise "
+          "with the exact states on d samples, min/median/max over segments, "
+          "and how many never do within the segment; fallbacks: rows run "
+          "again from a segment that did not merge")
+    print(f"{'stream':>12} {'rows':>4} {'d':>4} {'whole ms':>9} "
+          f"{'segmented':>9} {'speedup':>8} {'S':>3} "
+          f"{'merge min/med/max, never':>26} {'fallbacks':>9}  match")
+    cases = ([("narma10", narma, d, narma_params)
+              for d in (1, 4, 8, 14, 17, 41, 50, 62, 114, 200)]
+             + [("sine_square", sweep, d, sweep_params)
+                for d in (12, 25, 38, 50, 62, 75, 88, 100)])
+    for name, J, d, params in cases:
+        t_seg, t_whole, out, ref, fallbacks = segmented(J, d, params)
+        S = _kernels._segment_count(d, *J.u.shape, K)
+        ms = merges(J, d, params, ref)
+        done = sorted(m for m in ms if m is not None)
+        merge = "-"          # not segmented
+        if ms:
+            merge = (f"{done[0]}/{int(statistics.median(done))}/{done[-1]}"
+                     if done else "-") + f", {len(ms) - len(done)}"
+        same = np.array_equal(out.view(np.int64), ref.view(np.int64))
+        print(f"{name:>12} {J.u.shape[0]:>4} {d:>4} {t_whole * 1e3:>9.1f} "
+              f"{t_seg * 1e3:>9.1f} {t_whole / t_seg:>7.2f}x {S:>3} "
+              f"{merge:>26} {fallbacks:>9}  "
+              f"{'bitwise' if same else 'DIFFER'}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("n_samples", nargs="?", type=int, default=400_000)
     ap.add_argument("--section",
-                    choices=("recursion", "lockstep", "dynamics", "all"),
+                    choices=("recursion", "lockstep", "segments", "dynamics",
+                             "all"),
                     default="all")
     args = ap.parse_args()
     sections = {"recursion": lambda: bench_recursion(args.n_samples),
                 "lockstep": lambda: bench_lockstep(args.n_samples),
+                "segments": lambda: bench_segments(args.n_samples),
                 "dynamics": lambda: bench_dynamics(args.n_samples)}
     run = list(sections) if args.section == "all" else [args.section]
     for i, name in enumerate(run):

@@ -9,11 +9,12 @@ DELAYRC_BACKEND controls which implementation of the hot loops is used:
 evolve_samples(J, d, G, M, beta, rho, Phi0, history) runs the sample
 recursion of a HeldInput J, rows x cycles of streams in lockstep (one
 stream is one row), and returns a new rows x samples array. The numpy
-path runs each chunk as a per-sample loop on Python floats or as a block
-recursion, picked by the block width d x rows (see _kernels). Both
-backends produce bitwise-identical results;
-the flag only trades compile latency against throughput. See
-benchmarks/bench_kernels.py.
+path cuts narrow rows into time segments that run as lockstep rows and
+are kept only where they merge bit for bit with a run from the exact
+history, and runs each chunk as a per-sample loop on Python floats or as
+a block recursion, picked by the block width d x rows (see _kernels).
+Both backends produce bitwise-identical results; the flag only trades
+compile latency against throughput. See benchmarks/bench_kernels.py.
 """
 
 import os

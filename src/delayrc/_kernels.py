@@ -20,13 +20,32 @@ are already resolved, making the eight numpy calls of the loop's eight
 operations per block and allocating nothing. A block no longer than d
 samples reads only earlier samples, so blocks may restart at any chunk
 boundary. At narrow blocks the call overhead costs more than the plain
-loop. numba compiles the plain loop and runs it row by row on the formed
-J. All strategies and both backends give bitwise-identical samples.
-Backend selection lives in _backend.
+loop.
+
+A narrow block is widened by cutting each row into S time segments of
+whole cycles, S picked from d*rows and the stream length, that run as
+lockstep rows of one recursion: the first from the row's history, the
+others from zeros. Sample m depends only on sample m-d and the input, so
+two runs that agree bitwise on d consecutive samples agree from then on,
+and a contracting reservoir started from two histories gets there in a
+finite number of samples (its echo state property shrinks the gap until
+rounding closes it). Each later segment runs again from the last d
+samples of the one before it, all such restarts as rows of one recursion,
+over windows that double up to a fixed share of the segment; a restart
+whose window ends on the first run's bits has merged, and its window is
+spliced in. The first segment is exact, so by induction every segment up
+to a row's first unmerged one is exact; from there the row runs once more
+as a plain row. The rows are written into the one output array, so a
+recursion holds its states, chunk buffers and restart bookkeeping but no
+second stream-sized array, and a stream that never merges steps under
+2.5x its samples. numba compiles the plain loop and runs it row by row on
+the formed J. All strategies and both backends give bitwise-identical
+samples. Backend selection lives in _backend.
 
 A state that leaves the finite range comes out as nan on every path,
 where the plain loop's np.sin(inf) gives it: a chunk in which math.sin(inf)
-raises runs again as blocks. Callers check the samples they keep.
+raises runs again as blocks, and a restart that ends on nan never merges.
+Callers check the samples they keep.
 """
 
 import functools
@@ -40,9 +59,28 @@ import numpy as np
 # (numpy 2.4, 2-core x86 host; median of three benchmarks/bench_kernels.py
 # --section lockstep scans, BENCH_9.json)
 _LOOP_BELOW = 20
-# samples per chunk of formed input: bounds the loop's Python list and the
-# recursion's buffer to about _CHUNK + d floats per row
+# entries per chunk of formed input, over all rows, or four blocks where
+# those are wider: bounds the loop's Python list and the recursion's
+# buffer to about _CHUNK + 5 d*rows floats
 _CHUNK = 4096
+# a stream is cut into segments of whole cycles that run as lockstep rows
+# until the block width d*rows reaches about _SEGMENT_WIDTH; each segment
+# holds at least _MIN_SEGMENT first restart windows of _WINDOW cycles and
+# _MIN_TRIPS round trips of d samples, and windows double up to
+# 1/_WINDOW_SHARE of a segment, so a stream that never merges steps under
+# 2.5x its samples (_MIN_SEGMENT >= _WINDOW_SHARE >= 2 keeps every window
+# inside its segment). Segments of README's narma10 reservoir merge after
+# about 120 round trips, which a doubling window may overshoot by 2x, so a
+# quarter of 1000 leaves room for it: shorter segments fell back and made
+# streams of 800-3200 cycles slower than run whole. The values were
+# picked by replaying the recursions of the narma10-study and
+# sine_square-sweep benchmark calls, and narma10 streams of 400-8000
+# cycles, in one process (numpy 2.4, 2-core x86 host; BENCH_17.json).
+_SEGMENT_WIDTH = 400
+_WINDOW = 40
+_WINDOW_SHARE = 4
+_MIN_SEGMENT = 4
+_MIN_TRIPS = 1000
 
 
 class HeldInput(NamedTuple):
@@ -75,19 +113,6 @@ def evolve_samples_loop(J, d, G, M, beta, rho, Phi0, history):
     return s_ext[d:]
 
 
-def _chunk_cycles(k: int) -> int:
-    return max(1, _CHUNK // k)
-
-
-def _chunks(J, rho):
-    """(first sample, rho*J over it) for consecutive chunks of whole cycles,
-    the rows interleaved sample-major: sample m of row r at [m*rows + r]."""
-    step = _chunk_cycles(J.mask.size)
-    for c in range(0, J.u.shape[1], step):
-        u = J.u[:, c:c + step].T
-        yield c * J.mask.size, rho * (u[:, None, :] * J.mask[:, None]).ravel()
-
-
 def _output(J, d, history):
     """The rows x n states to fill, and each row's history s(-d)..s(-1)."""
     rows, cycles = J.u.shape
@@ -110,21 +135,23 @@ def _loop(buf, x, dR, half_G, M, beta, Phi0):
     return True
 
 
-def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
-    """The numpy-path sample recursion of every row of J. Returns samples
-    s(0).. of each row (rows x n)."""
+def _steps(u, mask, d, half_G, M, beta, rho, Phi0, histories):
+    """The recursion of the rows x cycles held input u from the rows x d
+    histories s(-d)..s(-1), one chunk of whole cycles at a time: yields
+    each chunk's first sample and a rows x samples view of its states,
+    valid until the next step."""
     # buf: the d*R entries read back, then the chunk, sample m of row r at
     # m*R + r. A block makes the loop's eight operations in its order, on
     # 0-d constants into the scratch t, so it allocates nothing.
-    out, histories = _output(J, d, history)
-    R, n = out.shape
-    w = min(n, _chunk_cycles(J.mask.size) * J.mask.size) * R   # per chunk
+    R, cycles = u.shape
+    k = mask.size
     dR = d * R
+    step = min(cycles, max(1, max(_CHUNK, 4 * dR) // (k * R)))
+    w = step * k * R
     buf = np.empty(dR + w)
     x = np.empty(w)
     t = np.empty(min(dR, w))
     buf[:dR].reshape(d, R)[...] = histories.T
-    half_G, M, beta, Phi0 = 0.5 * float(G), float(M), float(beta), float(Phi0)
     c_beta, c_pi, c_Phi0, c_M, c_one, c_half_G = (
         np.array(v) for v in (beta, math.pi, Phi0, M, 1.0, half_G))
     multiply, add, sin = np.multiply, np.add, np.sin
@@ -137,23 +164,109 @@ def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
         return [(buf[b:e], x[b:e], t[:e - b], buf[b + dR:e + dR])
                 for b, e in spans]
 
+    for c in range(0, cycles, step):
+        uc = u[:, c:c + step].T
+        xc = rho * (uc[:, None, :] * mask[:, None]).ravel()
+        m = xc.size
+        if not (dR < _LOOP_BELOW
+                and _loop(buf, xc, dR, half_G, M, beta, Phi0)):
+            x[:m] = xc
+            for s, xs, ts, s_new in blocks(m):
+                multiply(s, c_beta, ts)
+                add(ts, xs, ts)
+                multiply(ts, c_pi, ts)
+                add(ts, c_Phi0, ts)
+                sin(ts, ts)
+                multiply(ts, c_M, ts)
+                add(ts, c_one, ts)
+                multiply(ts, c_half_G, s_new)
+        yield c * k, buf[dR:dR + m].reshape(-1, R).T
+        buf[:dR] = buf[m:m + dR]
+
+
+def _window(d, k):
+    """Cycles of a restart's first window: _WINDOW, or enough to hold d
+    samples."""
+    return max(_WINDOW, -(-d // k))
+
+
+def _segment_count(d, rows, cycles, k):
+    """Segments per row: as many as widen the block d*rows to about
+    _SEGMENT_WIDTH, each at least _MIN_SEGMENT first windows and
+    _MIN_TRIPS round trips of d samples long."""
+    shortest = max(_MIN_SEGMENT * _window(d, k), -(-_MIN_TRIPS * d // k))
+    return max(1, min(_SEGMENT_WIDTH // (d * rows), cycles // shortest))
+
+
+def _segments(J, d, p, histories, out, S):
+    """Fill out by S segments of whole cycles per row and return each
+    row's frontier: the cycle from which its samples are not yet exact.
+
+    Every segment of every row runs as a lockstep row, the first from the
+    row's history and the others from zeros. Each later segment then runs
+    again from the last d samples of the one before it, over a window of
+    cycles that doubles up to 1/_WINDOW_SHARE of the segment, until the
+    window ends on the first run's bits: the recursion reads nothing older
+    than d samples, so from there the first run is the restarted one. By
+    induction from the exact first segment, every segment before a row's
+    first unmerged one is exact, and so is that one's last window.
+    """
+    R, cycles = J.u.shape
+    k = J.mask.size
+    L = cycles // S
+    Lk = L * k
+    seg = out[:, :S * Lk].reshape(R, S, Lk)
+    h = np.zeros((R, S, d))
+    h[:, 0] = histories
+    for c, block in _steps(J.u[:, :S * L].reshape(R * S, L), J.mask, d, *p,
+                           h.reshape(R * S, d)):
+        seg[:, :, c:c + block.shape[1]] = block.reshape(R, S, -1)
+    # the unmerged restarts, by row r and segment j >= 1
+    r, j = np.divmod(np.arange(R * (S - 1)), S - 1)
+    j += 1
+    w = _window(d, k)
+    while True:
+        # a window writes over no sample a later window compares, nor the
+        # tail of its segment that the next segment restarts from
+        wk = w * k
+        first_run = seg[r, j, wk - d:wk].view(np.int64)
+        cols = j[:, None] * L + np.arange(w)
+        for c, block in _steps(J.u[r[:, None], cols], J.mask, d, *p,
+                               seg[r, j - 1, Lk - d:]):
+            seg[r, j, c:c + block.shape[1]] = block
+        last = seg[r, j, wk - d:wk]
+        # equal bits, not ==, which takes -0.0 for 0.0; and never on nan
+        open_ = ~((last.view(np.int64) == first_run).all(axis=1)
+                  & np.isfinite(last).all(axis=1))
+        r, j = r[open_], j[open_]
+        if not r.size or 2 * w > L // _WINDOW_SHARE:
+            break
+        w *= 2
+    frontier = np.full(R, S * L)
+    rows, first_open = np.unique(r, return_index=True)
+    frontier[rows] = j[first_open] * L + w
+    return frontier
+
+
+def evolve_samples_numpy(J, d, G, M, beta, rho, Phi0, history):
+    """The numpy-path sample recursion of every row of J. Returns samples
+    s(0).. of each row (rows x n)."""
+    out, histories = _output(J, d, history)
+    R, cycles = J.u.shape
+    k = J.mask.size
+    p = (0.5 * float(G), float(M), float(beta), rho, float(Phi0))
+    S = _segment_count(d, R, cycles, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, xc in _chunks(J, rho):
-            m = xc.size
-            if not (dR < _LOOP_BELOW
-                    and _loop(buf, xc, dR, half_G, M, beta, Phi0)):
-                x[:m] = xc
-                for s, xs, ts, s_new in blocks(m):
-                    multiply(s, c_beta, ts)
-                    add(ts, xs, ts)
-                    multiply(ts, c_pi, ts)
-                    add(ts, c_Phi0, ts)
-                    sin(ts, ts)
-                    multiply(ts, c_M, ts)
-                    add(ts, c_one, ts)
-                    multiply(ts, c_half_G, s_new)
-            out[:, c:c + m // R] = buf[dR:dR + m].reshape(-1, R).T
-            buf[:dR] = buf[m:m + dR]
+        frontier = (_segments(J, d, p, histories, out, S) if S > 1
+                    else np.zeros(R, dtype=int))
+        # the rest of each row runs from its frontier, rows that share
+        # one in lockstep
+        for f in np.unique(frontier[frontier < cycles]):
+            rows = np.flatnonzero(frontier == f)
+            fk = f * k
+            h = histories[rows] if f == 0 else out[rows, fk - d:fk]
+            for c, block in _steps(J.u[rows, f:], J.mask, d, *p, h):
+                out[rows, fk + c:fk + c + block.shape[1]] = block
     return out
 
 

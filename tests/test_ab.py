@@ -1,0 +1,116 @@
+"""benchmarks/ab.py: alternated pairs and the BENCH section made of them."""
+
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _trees(tmp_path):
+    """Two trees holding only BENCHMARK.json, which is all a stub runner
+    needs."""
+    trees = {}
+    for side in ab.SIDES:
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(DECLARED))
+    return trees
+
+
+def test_perfbench_section_schema(tmp_path):
+    trees = _trees(tmp_path)
+    runs = []
+
+    def runner(tree, workload, seed, seconds, command):
+        side = Path(tree).name
+        runs.append((side, workload, seed, seconds, tuple(command)))
+        value = {m["name"]: 1.0 for m in DECLARED["end_to_end"]}
+        # the change is faster on every pair and 20% heavier in memory
+        value["ops_per_s"] = (20.0 if side == "change" else 10.0) + seed
+        value["peak_rss_mb"] = 1.2 if side == "change" else 1.0
+        return {"correct": True, "attempted": 60, "failed": 0,
+                "metrics": {k: {"value": v, "unit": "-"}
+                            for k, v in value.items()}}
+
+    section = ab.perfbench(trees["parent"], trees["change"], 10,
+                           runner=runner, log=io.StringIO())
+    names = [w["name"] for w in DECLARED["workloads"]]
+    assert len(runs) == 2 * 10 * len(names)
+    # odd pairs run the parent first, even pairs the change; each pair runs
+    # every workload; the run length and command come from BENCHMARK.json
+    assert runs[:2] == [("parent", names[0], 1, DECLARED["run_seconds"],
+                         tuple(DECLARED["command"]))] + [
+        ("change", names[0], 1, DECLARED["run_seconds"],
+         tuple(DECLARED["command"]))]
+    assert [r[0] for r in runs[2 * len(names):2 * len(names) + 2]] == [
+        "change", "parent"]
+    assert list(section["workloads"]) == names
+
+    # the schema of the BENCH files written by hand before the script
+    old = json.loads((ROOT / "BENCH_16.json").read_text())["perfbench"]
+    old_w = next(iter(old["workloads"].values()))
+    assert set(old) - {"note"} <= set(section)
+    for w in names:
+        got = section["workloads"][w]
+        assert set(got) == set(old_w)
+        assert list(got["pairs"]) == [str(i) for i in range(1, 11)]
+        for pair in got["pairs"].values():
+            assert set(pair) == set(old_w["pairs"]["1"])
+            assert pair["correct"] == {"parent": True, "change": True}
+            assert pair["attempted_failed"]["change"] == [60, 0]
+        summary = got["summary"]
+        assert set(summary) == {m["name"] for m in DECLARED["end_to_end"]}
+        for m in summary.values():
+            assert set(old_w["summary"]["ops_per_s"]) <= set(m)
+        ops = summary["ops_per_s"]
+        assert ops["parent_median"] == 15.5 and ops["change_median"] == 25.5
+        assert ops["parent_quartiles"] == [13.25, 17.75]
+        assert ops["change_wins"] == "10/10" and ops["gain_rule"]
+        assert ops["relative_worsening"] == round(-10 / 15.5, 4)
+        assert ops["status"] == "within bound"
+        rss = summary["peak_rss_mb"]
+        assert rss["relative_worsening"] == 0.2
+        assert rss["status"] == "worse than bound"
+        assert rss["change_wins"] == "0/10" and not rss["gain_rule"]
+        # ties count for neither side
+        assert summary["ok_frac"]["change_wins"] == "0/10"
+    json.dumps(section)
+
+
+def test_gain_rule_needs_nine_tenths_and_the_parent_spread():
+    pairs = {str(i): {"parent": {"x": p}, "change": {"x": c}}
+             for i, (p, c) in enumerate([(10, 11)] * 8 + [(10, 9)] * 2, 1)}
+    metric = [{"name": "x", "better": "higher", "bound": 0.25}]
+    assert not ab.summarize(pairs, metric)["x"]["gain_rule"]     # 8/10
+    pairs["9"]["change"]["x"] = 11
+    assert ab.summarize(pairs, metric)["x"]["gain_rule"]         # 9/10
+    # a parent spread wider than the gap between the medians
+    for i, p in enumerate((5, 20) * 5, 1):
+        pairs[str(i)]["parent"]["x"] = p
+        pairs[str(i)]["change"]["x"] = p + 1
+    assert ab.summarize(pairs, metric)["x"]["change_wins"] == "10/10"
+    assert not ab.summarize(pairs, metric)["x"]["gain_rule"]
+
+
+def test_calls_imports_both_trees_as_two_packages():
+    out = io.StringIO()
+    try:
+        times = ab.calls(ROOT, ROOT, "names.append(pkg.__name__)",
+                         setup="names = []", rounds=3, log=out)
+        parent, change = (sys.modules[f"delayrc_{s}"] for s in ab.SIDES)
+        assert parent is not change
+        assert parent._kernels is not change._kernels
+    finally:
+        for name in [n for n in sys.modules
+                     if n.split(".")[0] in ("delayrc_parent", "delayrc_change")]:
+            del sys.modules[name]
+    assert {s: len(t) for s, t in times.items()} == {"parent": 3, "change": 3}
+    assert "3 alternated rounds" in out.getvalue()

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("section", ["recursion", "lockstep", "dynamics"])
+@pytest.mark.parametrize("section",
+                         ["recursion", "lockstep", "segments", "dynamics"])
 def test_bench_kernels_section_runs(section):
     path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}

@@ -364,6 +364,142 @@ def test_overflow_leaves_nan_where_the_loop_does(monkeypatch, R):
                     (loop_below, d, i)
 
 
+# _kernels settings that cut every stream of a few thousand samples into
+# segments with short first windows, that never cut one, and the defaults
+# (last, so a test's other calls see them)
+SEGMENT_CASES = (dict(_SEGMENT_WIDTH=10**9, _WINDOW=8, _MIN_SEGMENT=16,
+                      _MIN_TRIPS=0),
+                 dict(_SEGMENT_WIDTH=0), {})
+
+
+SEGMENT_DEFAULTS = {name: getattr(_kernels, name) for name in SEGMENT_CASES[0]}
+
+
+def _set_segments(monkeypatch, case):
+    for name, value in {**SEGMENT_DEFAULTS, **case}.items():
+        monkeypatch.setattr(_kernels, name, value)
+
+
+def _count_steps(monkeypatch):
+    """Count the samples, over all rows, that _kernels._steps runs."""
+    count = [0]
+    steps = _kernels._steps
+
+    def counted(u, mask, *args):
+        count[0] += u.size * mask.size
+        return steps(u, mask, *args)
+    monkeypatch.setattr(_kernels, "_steps", counted)
+    return count
+
+
+def _same_bits(a, b):
+    """Equal bits, with nan where the other has nan."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+# (G, d) at k = 7: streams that merge at d = 1, 3 and d = k (tau = T);
+# chaotic ones that never merge at d = 3 and d = k; and one that
+# overflows to nan, which never merges
+SEGMENT_STREAMS = [(0.1, 1), (0.1, 3), (0.1, 7), (3.0, 3), (3.0, 7),
+                   (1e308, 3)]
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("G, d", SEGMENT_STREAMS)
+def test_segments_match_loop_bitwise(monkeypatch, G, d, R):
+    rng = np.random.default_rng(60 + R + d)
+    mask = make_input_mask(7, 5)
+    us = [rng.uniform(-1, 1, n) for n in rng.integers(2500, 3000, R)]
+    padded = np.zeros((R, max(u.size for u in us)))
+    for row, u in zip(padded, us):
+        row[:u.size] = u
+    held = _kernels.HeldInput(padded, mask.values)
+    H = rng.uniform(0, 1, (R, d))
+    H[:, ::2] = -0.0
+    params = (d, G, 0.983, 0.85, 0.9, 0.63)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = [_kernels.evolve_samples_loop(mask_input(u, mask), *params, h)
+                for u, h in zip(us, H)]
+    merges = G < 1
+    assert all(np.isnan(r).any() for r in refs) == (G == 1e308)
+    stepped = _count_steps(monkeypatch)
+    for case in SEGMENT_CASES:
+        _set_segments(monkeypatch, case)
+        stepped[0] = 0
+        S = _kernels.evolve_samples_numpy(held, *params, H)
+        assert S.shape == (R, held.size // R) and S.flags.c_contiguous
+        for i, ref in enumerate(refs):
+            assert _same_bits(S[i, :ref.size], ref), (case, i)
+        if case is SEGMENT_CASES[0]:
+            # segments that merge cost little more than the stream; one
+            # that never merges falls back, and stops doubling in time
+            if merges:
+                assert stepped[0] < 1.5 * held.size
+            else:
+                assert 1.5 * held.size < stepped[0] <= 2.5 * held.size
+        elif case is SEGMENT_CASES[1]:
+            assert stepped[0] == held.size
+
+
+# the shortest segment, in cycles at k = 7: _MIN_SEGMENT first windows
+# of _WINDOW cycles, or _MIN_TRIPS round trips of d samples if longer
+@pytest.mark.parametrize("d, trips, shortest", [(3, 0, 16 * 8),
+                                                (14, 500, 500 * 14 // 7)])
+def test_streams_under_two_segments_run_whole(monkeypatch, d, trips,
+                                              shortest):
+    rng = np.random.default_rng(70)
+    mask = make_input_mask(7, 5)
+    _set_segments(monkeypatch, {**SEGMENT_CASES[0], "_MIN_TRIPS": trips})
+    stepped = _count_steps(monkeypatch)
+    params = (d, 0.1, 0.983, 0.85, 0.9, 0.63, np.zeros(d))
+    for n in (1, shortest, 2 * shortest - 1, 2 * shortest):
+        u = rng.uniform(-1, 1, n)
+        held = _kernels.HeldInput(u[None], mask.values)
+        stepped[0] = 0
+        S = _kernels.evolve_samples_numpy(held, *params)
+        assert (stepped[0] == held.size) == (n < 2 * shortest), n
+        ref = _kernels.evolve_samples_loop(mask_input(u, mask), *params)
+        assert _same_bits(S[0], ref), n
+
+
+@pytest.fixture(scope="module")
+def benchmark_streams():
+    """The default sine_square sweep's first lockstep group (seeds 0-2,
+    zero-padded to 10,496 cycles) and the default narma10 series (8,000
+    cycles), as held inputs at k = 50."""
+    from delayrc import pipeline
+    mask = make_input_mask(50, 0).values
+    _, _, data = pipeline.task_setup("sine_square")
+    us = [data(seed)[0].u for seed in range(3)]
+    group = np.zeros((3, max(u.size for u in us)))
+    for row, u in zip(group, us):
+        row[:u.size] = u
+    _, _, data = pipeline.task_setup("narma10")
+    return {"sine_square": _kernels.HeldInput(group, mask),
+            "narma10": _kernels.HeldInput(data(0)[0].u[None], mask)}
+
+
+@pytest.mark.parametrize("d", [8, 25, 50, 100])
+@pytest.mark.parametrize("task", ["sine_square", "narma10"])
+def test_recursion_peak_memory_is_bounded(benchmark_streams, task, d):
+    # the states plus the chunk buffers, restart windows and bookkeeping:
+    # a second stream-sized array would take the peak past 2x
+    import tracemalloc
+    held = benchmark_streams[task]
+    assert held.u.shape == {"sine_square": (3, 10_496),
+                            "narma10": (1, 8_000)}[task]
+    tracemalloc.start()
+    try:
+        S = _kernels.evolve_samples_numpy(held, d, 0.39, 0.983, 1.0, 0.19,
+                                          0.67 * np.pi, np.zeros(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * S.nbytes, peak / S.nbytes
+
+
 def test_rows_take_one_history_for_every_row():
     rng = np.random.default_rng(6)
     mask = make_input_mask(7, 2)
