@@ -7,25 +7,19 @@ the held input u and the mask and forms the masked input chunk by chunk;
 u holds rows x cycles (one stream is one row), and rows run in lockstep,
 interleaved in one buffer. Narrow rows are cut into time segments that
 run as more lockstep rows and are kept where they merge bit for bit with
-a run from the exact history. Each chunk runs as a per-sample loop on
-Python floats when the block width d*rows is below _kernels._LOOP_BELOW,
-and as a block recursion that advances d samples of every row per round
-of numpy calls otherwise; the numba kernel compiles the plain loop. All
-of them produce bitwise-identical streams. This script times each
-strategy by setting _kernels constants for the call and restoring them:
-_LOOP_BELOW (0 runs blocks only, 10**9 the loop only) with segmentation
-off (_SEGMENT_WIDTH 0), so a strategy runs on the rows as given. The
-recursion section times both strategies on one stream at several delays,
-checks that they agree, and scans d for the block width from which the
-blocks are faster than the loop on one stream.
+a run from the exact history. Each chunk runs as a block recursion that
+advances d samples of every row per round of numpy calls; the numba
+kernel compiles the plain loop, evolve_samples_loop. All of them produce
+bitwise-identical streams. The recursion section times the numpy kernel
+on one stream at several delays against that plain loop (one run of it)
+and numba where it is importable, checks that they agree, and times the
+DDE's Euler loop the same way.
 
 The lockstep section times R rows driven together against the same R
-rows one at a time, per row, for R = 1..5 at the default dispatch
-(segments included), and scans d at block widths d*R up to 48 for the
-crossover width at each R, and their median: what _LOOP_BELOW is set
-from. It also prints the groups of rows that a delay sweep over seeds 0-4
-of the default sine_square stream drives in lockstep
-(hyperopt._lockstep_groups under hyperopt._LOCKSTEP_BYTES).
+rows one at a time, per row, for R = 1..5, and prints the groups of rows
+that a delay sweep over seeds 0-4 of the default sine_square stream
+drives in lockstep (hyperopt._lockstep_groups under
+hyperopt._LOCKSTEP_BYTES).
 
 The segments section times the README's narma10 reservoir on the narma10
 series (n_samples of it) at ten delays, and the default sine_square
@@ -86,41 +80,15 @@ def bench(fn, J, d, history, repeats=3, params=PARAMS):
     return best, out
 
 
-def strategy(**settings):
-    """evolve_samples_numpy with the _kernels constants in settings set
-    for the call and restored after it."""
-    def run(*args):
-        # older checkouts lack some of the constants: those are skipped
-        saved = {name: getattr(_kernels, name) for name in settings
-                 if hasattr(_kernels, name)}
-        for name in saved:
-            setattr(_kernels, name, settings[name])
-        try:
-            return _kernels.evolve_samples_numpy(*args)
-        finally:
-            for name, value in saved.items():
-                setattr(_kernels, name, value)
-    return run
-
-
-# each chunk strategy on the rows as given, and the rows run whole at the
-# default pick: segmentation off
-loop = strategy(_LOOP_BELOW=10**9, _SEGMENT_WIDTH=0)
-blocks = strategy(_LOOP_BELOW=0, _SEGMENT_WIDTH=0)
-whole = strategy(_SEGMENT_WIDTH=0)
-
-
-def crossover(J, ds):
-    """Blocks-to-loop time ratio at each d in ds, and the first d from
-    which the blocks are faster at every larger d scanned (None if they
-    never are)."""
-    ratios = [bench(blocks, J, d, np.zeros(d))[0]
-              / bench(loop, J, d, np.zeros(d))[0]
-              for d in ds]
-    for i in range(len(ds)):
-        if all(r < 1.0 for r in ratios[i:]):
-            return ratios, ds[i]
-    return ratios, None
+def whole(*args):
+    """evolve_samples_numpy with the rows run whole: segmentation off
+    (_SEGMENT_WIDTH 0) for the call."""
+    width = _kernels._SEGMENT_WIDTH
+    _kernels._SEGMENT_WIDTH = 0
+    try:
+        return _kernels.evolve_samples_numpy(*args)
+    finally:
+        _kernels._SEGMENT_WIDTH = width
 
 
 def best_ms(fn, *args, repeats=5):
@@ -249,38 +217,33 @@ def bench_dynamics(n_samples):
 
 def bench_recursion(n):
     J = held_input(1, n)
-    below = _kernels._LOOP_BELOW
+    J_formed = _kernels.masked(J.u[0], J.mask)
 
     if _kernels.HAVE_NUMBA:
         # trigger compilation outside the timed region
         _kernels.evolve_samples_numba(np.zeros(64), 2, *PARAMS, np.zeros(2))
     else:
-        print("numba not importable; showing the numpy path only")
+        print("numba not importable; showing the numpy path and the loop")
 
-    print(f"sample recursion, n={J.size:,} samples, "
-          f"numpy path picks the loop for d*rows < {below}")
-    print(f"{'d':>6} {'loop (ms)':>12} {'blocks (ms)':>12} {'picked':>7} "
-          f"{'numba (ms)':>11}  match")
-    for d in (1, 8, 14, below - 1, below, 62, 1000):
+    print(f"sample recursion, n={J.size:,} samples, numpy best of 3, the "
+          "plain loop (evolve_samples_loop) one run; match: both against "
+          "the loop")
+    print(f"{'d':>6} {'numpy (ms)':>11} {'loop (ms)':>10} {'numba (ms)':>11}"
+          "  match")
+    for d in (1, 8, 14, 20, 62, 1000):
         history = np.zeros(d)
-        t_lp, out_lp = bench(loop, J, d, history)
-        t_bl, out_bl = bench(blocks, J, d, history)
-        same = np.array_equal(out_lp, out_bl)
+        t_np, out_np = bench(_kernels.evolve_samples_numpy, J, d, history)
+        t_lp, ref = bench(_kernels.evolve_samples_loop, J_formed, d, history,
+                          repeats=1)
+        same = np.array_equal(out_np[0], ref)
         nb = "-"
         if _kernels.HAVE_NUMBA:
             t_nb, out_nb = bench(_kernels.evolve_samples_compiled, J, d,
                                  history)
-            same = same and np.array_equal(out_lp, out_nb)
+            same = same and np.array_equal(out_nb[0], ref)
             nb = f"{t_nb * 1e3:.1f}"
-        picked = "loop" if d < below else "blocks"
-        print(f"{d:>6} {t_lp * 1e3:>12.1f} {t_bl * 1e3:>12.1f} {picked:>7} "
-              f"{nb:>11}  {'bitwise' if same else 'DIFFER'}")
-
-    ds = list(range(4, 49, 2))
-    ratios, cross = crossover(J, ds)
-    print("\nblocks/loop time ratio: "
-          + " ".join(f"{d}:{r:.2f}" for d, r in zip(ds, ratios)))
-    print(f"blocks faster from block width {cross}")
+        print(f"{d:>6} {t_np * 1e3:>11.1f} {t_lp * 1e3:>10.1f} {nb:>11}  "
+              f"{'bitwise' if same else 'DIFFER'}")
 
     dde_n = 200_000
     pre = np.zeros(dde_n + 1)
@@ -302,14 +265,12 @@ def bench_recursion(n):
 
 
 def bench_lockstep(n):
-    """R rows in lockstep against the same rows one at a time, and the
-    loop/blocks crossover width at each R."""
-    rows = (1, 2, 3, 4, 5)
+    """R rows in lockstep against the same rows one at a time."""
     print(f"lockstep recursion, {n // K * K:,} samples per row, k={K}, "
           "best of 3, ms per row (numpy dispatch at each d)")
     print(f"{'R':>3} {'d':>5} {'lockstep':>9} {'one by one':>11} "
           f"{'speedup':>8}  match")
-    for R in rows:
+    for R in (1, 2, 3, 4, 5):
         J = held_input(R, n, seed=R)
         for d in (12, 25, 50, 100):
             history = np.zeros(d)
@@ -324,23 +285,6 @@ def bench_lockstep(n):
             print(f"{R:>3} {d:>5} {t_lock * 1e3 / R:>9.1f} "
                   f"{t_one * 1e3 / R:>11.1f} {t_one / t_lock:>7.2f}x  "
                   f"{'bitwise' if same else 'DIFFER'}")
-
-    n_scan = n // 4
-    print(f"\nblocks/loop time ratio by rows at each d, {n_scan // K * K:,} "
-          "samples per row; crossover: first block width d*R from which the "
-          "blocks are faster at every larger d scanned")
-    widths = []
-    for R in rows:
-        ds = list(range(max(1, 4 // R), 48 // R + 1))
-        ratios, cross = crossover(held_input(R, n_scan, seed=R), ds)
-        if cross is not None:
-            widths.append(cross * R)
-        print(f"R={R}: crossover width "
-              f"{'-' if cross is None else cross * R}; "
-              + " ".join(f"{d}:{r:.2f}" for d, r in zip(ds, ratios)))
-    median = statistics.median(widths) if widths else None
-    print(f"median crossover width {median} (_LOOP_BELOW "
-          f"{_kernels._LOOP_BELOW})")
 
     t, _, data = pipeline.task_setup("sine_square")
     groups = hyperopt._lockstep_groups(data, range(5), t["k"])

@@ -11,10 +11,10 @@ recursion of a HeldInput J, rows x cycles of streams in lockstep (one
 stream is one row), and returns a new rows x samples array. The numpy
 path cuts narrow rows into time segments that run as lockstep rows and
 are kept only where they merge bit for bit with a run from the exact
-history, and runs each chunk as a per-sample loop on Python floats or as
-a block recursion, picked by the block width d x rows (see _kernels).
-Both backends produce bitwise-identical results; the flag only trades
-compile latency against throughput. See benchmarks/bench_kernels.py.
+history, and runs each chunk as a block recursion of d x rows entries per
+round of numpy calls (see _kernels). Both backends produce
+bitwise-identical results; the flag only trades compile latency against
+throughput. See benchmarks/bench_kernels.py.
 """
 
 import os

@@ -12,15 +12,12 @@ the rows interleaved sample-major (sample m of row r at m*rows + r).
 
 The numpy path keeps the d*rows samples it reads back and the chunk it
 writes in one buffer in that same layout, so the sample d back of a row
-sits d*rows entries back. Each chunk runs one of two strategies on that
-buffer, picked by the block width d*rows alone: below _LOOP_BELOW a
-per-sample loop on Python floats over the interleaved chunk; otherwise a
-block recursion in steps of d*rows entries, inside which all dependencies
-are already resolved, making the eight numpy calls of the loop's eight
+sits d*rows entries back. Each chunk runs as a block recursion on that
+buffer in steps of d*rows entries, inside which all dependencies are
+already resolved, making the eight numpy calls of the loop's eight
 operations per block and allocating nothing. A block no longer than d
 samples reads only earlier samples, so blocks may restart at any chunk
-boundary. At narrow blocks the call overhead costs more than the plain
-loop.
+boundary. At narrow blocks the call overhead dominates.
 
 A narrow block is widened by cutting each row into S time segments of
 whole cycles, S picked from d*rows and the stream length, that run as
@@ -39,13 +36,12 @@ as a plain row. The rows are written into the one output array, so a
 recursion holds its states, chunk buffers and restart bookkeeping but no
 second stream-sized array, and a stream that never merges steps under
 2.5x its samples. numba compiles the plain loop and runs it row by row on
-the formed J. All strategies and both backends give bitwise-identical
-samples. Backend selection lives in _backend.
+the formed J. Segmented or whole, and on both backends, the samples are
+bitwise identical. Backend selection lives in _backend.
 
 A state that leaves the finite range comes out as nan on every path,
-where the plain loop's np.sin(inf) gives it: a chunk in which math.sin(inf)
-raises runs again as blocks, and a restart that ends on nan never merges.
-Callers check the samples they keep.
+where the plain loop gives it (np.sin(inf) is nan), and a restart that
+ends on nan never merges. Callers check the samples they keep.
 """
 
 import functools
@@ -54,14 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# block width d*rows below which evolve_samples_numpy steps a chunk sample
-# by sample: the two strategies take equal time near it at every row count
-# (numpy 2.4, 2-core x86 host; median of three benchmarks/bench_kernels.py
-# --section lockstep scans, BENCH_9.json)
-_LOOP_BELOW = 20
 # entries per chunk of formed input, over all rows, or four blocks where
-# those are wider: bounds the loop's Python list and the recursion's
-# buffer to about _CHUNK + 5 d*rows floats
+# those are wider: bounds the recursion's buffers to about _CHUNK +
+# 5 d*rows floats
 _CHUNK = 4096
 # a stream is cut into segments of whole cycles that run as lockstep rows
 # until the block width d*rows reaches about _SEGMENT_WIDTH; each segment
@@ -120,21 +111,6 @@ def _output(J, d, history):
             np.broadcast_to(history, (rows, d)))
 
 
-def _loop(buf, x, dR, half_G, M, beta, Phi0):
-    """Step the chunk x sample by sample on Python floats into buf after
-    its dR carried samples; False, with buf untouched, where math.sin(inf)
-    raises."""
-    s = buf[:dR].tolist()
-    pi, sin = math.pi, math.sin
-    try:
-        for xm in x.tolist():
-            s.append(half_G * (1.0 + M * sin(pi * (beta * s[-dR] + xm) + Phi0)))
-    except ValueError:
-        return False
-    buf[dR:dR + x.size] = s[dR:]
-    return True
-
-
 def _steps(u, mask, d, half_G, M, beta, rho, Phi0, histories):
     """The recursion of the rows x cycles held input u from the rows x d
     histories s(-d)..s(-1), one chunk of whole cycles at a time: yields
@@ -166,20 +142,20 @@ def _steps(u, mask, d, half_G, M, beta, rho, Phi0, histories):
 
     for c in range(0, cycles, step):
         uc = u[:, c:c + step].T
-        xc = rho * (uc[:, None, :] * mask[:, None]).ravel()
-        m = xc.size
-        if not (dR < _LOOP_BELOW
-                and _loop(buf, xc, dR, half_G, M, beta, Phi0)):
-            x[:m] = xc
-            for s, xs, ts, s_new in blocks(m):
-                multiply(s, c_beta, ts)
-                add(ts, xs, ts)
-                multiply(ts, c_pi, ts)
-                add(ts, c_Phi0, ts)
-                sin(ts, ts)
-                multiply(ts, c_M, ts)
-                add(ts, c_one, ts)
-                multiply(ts, c_half_G, s_new)
+        m = uc.size * k
+        # rho*(u*mask), the loop's rho*J, in the same two roundings
+        x3 = x[:m].reshape(-1, k, R)
+        multiply(uc[:, None, :], mask[:, None], x3)
+        multiply(x3, rho, x3)
+        for s, xs, ts, s_new in blocks(m):
+            multiply(s, c_beta, ts)
+            add(ts, xs, ts)
+            multiply(ts, c_pi, ts)
+            add(ts, c_Phi0, ts)
+            sin(ts, ts)
+            multiply(ts, c_M, ts)
+            add(ts, c_one, ts)
+            multiply(ts, c_half_G, s_new)
         yield c * k, buf[dR:dR + m].reshape(-1, R).T
         buf[:dR] = buf[m:m + dR]
 

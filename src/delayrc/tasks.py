@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -106,18 +107,29 @@ def gen_sine_square(n_waveforms: int = 20, samples_per_period=(3, 5),
 
 
 def narma10_recurrence(u) -> np.ndarray:
-    """Tenth-order NARMA response to a given input sequence, zero history."""
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    y = np.zeros(n)
+    """Tenth-order NARMA response to a given input sequence, zero history.
+
+    Steps on Python floats, whose + and * round as numpy's float64 does
+    and overflow to inf and nan without a warning. u and y are held as C
+    doubles (array.array) and the sum reads the last ten outputs from a
+    short list: a stream-long list of float objects would stay in the
+    process's resident memory after the call.
+    """
+    u = array("d", np.asarray(u, dtype=float).tobytes())
+    n = len(u)
+    y = array("d", [0.0]) * n
+    # y(t), y(t-1), ..., back to y(t-9) or y(0)
+    last = []
     for t in range(n - 1):
+        yt = y[t]
+        last.insert(0, yt)
+        del last[10:]
         acc = 0.0
-        for i in range(10):
-            if t - i >= 0:
-                acc += y[t - i]
+        for v in last:
+            acc += v
         u9 = u[t - 9] if t >= 9 else 0.0
-        y[t + 1] = 0.3 * y[t] + 0.05 * y[t] * acc + 1.5 * u9 * u[t] + 0.1
-    return y
+        y[t + 1] = 0.3 * yt + 0.05 * yt * acc + 1.5 * u9 * u[t] + 0.1
+    return np.array(y)
 
 
 def gen_narma10(length: int, seed: int = 0) -> LabeledSeries:
@@ -133,8 +145,7 @@ def gen_narma10(length: int, seed: int = 0) -> LabeledSeries:
         rng = np.random.default_rng([seed, attempt])
         u = rng.uniform(0.0, 0.5, length)
         # a diverging draw may overflow to inf; it is rejected just below
-        with np.errstate(over="ignore"):
-            y = narma10_recurrence(u)
+        y = narma10_recurrence(u)
         if np.all(np.abs(y) <= 1.0):
             break
     else:

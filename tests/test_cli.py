@@ -1,7 +1,6 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
 import fcntl
-import math
 import os
 import resource
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayrc import _kernels, cli
+from delayrc import cli
 
 from conftest import deadline, hash_tree, read_csv_rows
 
@@ -297,18 +296,17 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
-    # a run drives one row, a two-repeat sweep two rows in lockstep; each
-    # runs the per-sample loop (math.sin(inf) raises) one sample below the
-    # crossover of its block width d*rows and the block recursion
-    # (np.sin(inf) is nan) from it on: every case ends in the same error
+    # a run drives one row, a two-repeat sweep two rows in lockstep, at
+    # block widths d*rows 18 to 20 (np.sin(inf) is nan): every case ends
+    # in the same error
     k = 50   # the default reservoir.k
     base = ["task=narma10", "task.length=200", "task.washout=5",
             "reservoir.G=1e308"]
     cases = []
-    for rows, argv in ((1, ["run", "reservoir.tau_over_T={}"]),
-                       (2, ["sweep-delay", "sweep.grid={}", "sweep.repeats=2"])):
-        below = math.ceil(_kernels._LOOP_BELOW / rows)
-        for d in (below - 1, below):
+    for ds, argv in (((19, 20), ["run", "reservoir.tau_over_T={}"]),
+                     ((9, 10), ["sweep-delay", "sweep.grid={}",
+                                "sweep.repeats=2"])):
+        for d in ds:
             cases.append([a.format(d / k) for a in argv])
     errs = set()
     for argv in cases:

@@ -1,6 +1,5 @@
 """Time-multiplexed reservoir: masks, sample recursion, coupling structure."""
 
-import math
 import os
 
 import numpy as np
@@ -262,26 +261,14 @@ def test_matrix_form_reproduces_samplewise_run(k, d, seed):
 
 # ----------------------------------------------------------- backends
 
-# _kernels._LOOP_BELOW values that run every chunk as blocks, run every
-# chunk as the per-sample loop, and keep the default pick by block width
-# (last, so a test's other calls see the default)
-LOOP_BELOW_CASES = (0, 10**9, _kernels._LOOP_BELOW)
-
-
-def crossover(R):
-    """The first d at which R lockstep rows run as blocks by default."""
-    return math.ceil(_kernels._LOOP_BELOW / R)
-
-
-def test_numpy_block_recursion_matches_python_loop(monkeypatch):
+def test_numpy_block_recursion_matches_python_loop():
     rng = np.random.default_rng(11)
     # longer than one chunk and a multiple of neither it nor d
     mask = make_input_mask(7, 3)
     u = rng.uniform(-1, 1, (_kernels._CHUNK + 907) // 7)
     J = mask_input(u, mask)
     held = _kernels.HeldInput(u[None], mask.values)
-    below = crossover(1)
-    for d in (1, 3, below - 1, below, 50, 137, 700, 6000):
+    for d in (1, 3, 19, 20, 50, 137, 700, 6000):
         hist = np.zeros(d)
         a, = _kernels.evolve_samples_numpy(held, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
         s = np.zeros(J.size + d)
@@ -290,17 +277,12 @@ def test_numpy_block_recursion_matches_python_loop(monkeypatch):
                 np.pi * (0.8 * s[m] + 0.5 * J[m]) + 0.3))
         assert np.array_equal(a, s[d:])
         # evolve_samples_loop is the exact source numba compiles, so this
-        # checks the backends' bitwise agreement where numba is absent too;
-        # both numpy strategies are checked at every d, not only the one
-        # evolve_samples_numpy picks
+        # checks the backends' bitwise agreement where numba is absent too
         for h in (hist, rng.uniform(0, 1, d)):
             params = (d, 1.1, 0.983, 0.85, 0.9, 0.63, h)
             ref = _kernels.evolve_samples_loop(J, *params)
-            for loop_below in LOOP_BELOW_CASES:
-                monkeypatch.setattr(_kernels, "_LOOP_BELOW", loop_below)
-                assert np.array_equal(
-                    _kernels.evolve_samples_numpy(held, *params)[0], ref), \
-                    (loop_below, d)
+            assert np.array_equal(
+                _kernels.evolve_samples_numpy(held, *params)[0], ref), d
 
 
 def _ragged_rows(rng, R, k):
@@ -314,41 +296,36 @@ def _ragged_rows(rng, R, k):
 
 
 @pytest.mark.parametrize("R", [1, 2, 3, 5])
-def test_lockstep_rows_match_loop_bitwise(monkeypatch, R):
+def test_lockstep_rows_match_loop_bitwise(R):
     rng = np.random.default_rng(20 + R)
     mask = make_input_mask(7, 2)
     us, padded = _ragged_rows(rng, R, 7)
     held = _kernels.HeldInput(padded, mask.values)
-    below = crossover(R)
-    # 4500 samples is longer than one chunk and shorter than every stream
-    for d in (1, 3, below - 1, below, 50, 137, 700, 4500):
+    # block widths d*R from R up; 4500 samples is longer than one chunk
+    # and shorter than every stream
+    for d in (1, 3, 4, 6, 7, 9, 10, 19, 20, 50, 137, 700, 4500):
         for H in (np.zeros((R, d)), rng.uniform(0, 1, (R, d))):
             params = (d, 1.1, 0.983, 0.85, 0.9, 0.63)
-            for loop_below in LOOP_BELOW_CASES:
-                monkeypatch.setattr(_kernels, "_LOOP_BELOW", loop_below)
-                S = _kernels.evolve_samples_numpy(held, *params, H)
-                # C-contiguous rows x samples: every row reshapes as a view
-                assert S.shape == (R, held.size // R), loop_below
-                assert S.flags.c_contiguous, loop_below
-                for i, u in enumerate(us):
-                    ref = _kernels.evolve_samples_loop(mask_input(u, mask),
-                                                       *params, H[i])
-                    assert np.array_equal(S[i, :ref.size], ref), \
-                        (loop_below, d, i)
+            S = _kernels.evolve_samples_numpy(held, *params, H)
+            # C-contiguous rows x samples: every row reshapes as a view
+            assert S.shape == (R, held.size // R)
+            assert S.flags.c_contiguous
+            for i, u in enumerate(us):
+                ref = _kernels.evolve_samples_loop(mask_input(u, mask),
+                                                   *params, H[i])
+                assert np.array_equal(S[i, :ref.size], ref), (d, i)
 
 
 @pytest.mark.parametrize("R", [1, 3])
-def test_overflow_leaves_nan_where_the_loop_does(monkeypatch, R):
-    # at G=1e308 the phase of some samples overflows: np.sin(inf) is nan in
-    # the plain loop, while math.sin(inf) raises in the per-sample strategy,
-    # whose chunk then runs as blocks; every strategy keeps the finite
-    # samples and the nan positions of the loop
+def test_overflow_leaves_nan_where_the_loop_does(R):
+    # at G=1e308 the phase of some samples overflows, and np.sin(inf) is
+    # nan: the blocks keep the finite samples and the nan positions of the
+    # plain loop
     rng = np.random.default_rng(40 + R)
     mask = make_input_mask(7, 4)
     us, padded = _ragged_rows(rng, R, 7)
     held = _kernels.HeldInput(padded, mask.values)
-    below = crossover(R)
-    for d in (1, below - 1, below, 50):
+    for d in (1, 6, 7, 19, 20, 50):
         params = (d, 1e308, 0.983, 0.85, 0.9, 0.63, np.zeros((R, d)))
         refs = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -356,12 +333,10 @@ def test_overflow_leaves_nan_where_the_loop_does(monkeypatch, R):
                 refs.append(_kernels.evolve_samples_loop(
                     mask_input(u, mask), *params[:-1], params[-1][i]))
         assert all(np.isnan(r).any() and np.isfinite(r).any() for r in refs)
-        for loop_below in LOOP_BELOW_CASES:
-            monkeypatch.setattr(_kernels, "_LOOP_BELOW", loop_below)
-            S = _kernels.evolve_samples_numpy(held, *params)
-            for i, ref in enumerate(refs):
-                assert np.array_equal(S[i, :ref.size], ref, equal_nan=True), \
-                    (loop_below, d, i)
+        S = _kernels.evolve_samples_numpy(held, *params)
+        for i, ref in enumerate(refs):
+            assert np.array_equal(S[i, :ref.size], ref, equal_nan=True), \
+                (d, i)
 
 
 # _kernels settings that cut every stream of a few thousand samples into
@@ -520,7 +495,7 @@ def test_rows_check_every_stream():
         run_reservoir_rows(us, cfg_for(k=7, tau=30.0), mask)
 
 
-# block width 10 x rows runs the loop on one row and blocks on two; 50, blocks
+# block widths d*rows 10 and 20 at tau 10, 50 and 100 at tau 50
 @pytest.mark.parametrize("tau", [10.0, 50.0])
 def test_state_overflow_raises_numerics_error(tau):
     c = cfg_for(G=1e308, tau=tau)

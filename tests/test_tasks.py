@@ -100,15 +100,24 @@ def test_narma_zero_input_fixed_point():
 
 
 def test_narma_oracle_direct():
-    # transcription with explicit indexing, no vector ops
-    rng = np.random.default_rng(42)
-    u = rng.uniform(0, 0.5, 200)
-    y = np.zeros(200)
-    for t in range(199):
-        s = sum(y[t - i] for i in range(10) if t - i >= 0)
-        y[t + 1] = (0.3 * y[t] + 0.05 * y[t] * s
-                    + 1.5 * (u[t - 9] if t >= 9 else 0.0) * u[t] + 0.1)
-    assert np.array_equal(narma10_recurrence(u), y)
+    # transcription with explicit indexing on numpy entries, no vector ops,
+    # compared bit for bit: a bounded draw; gen_narma10's first draw for
+    # seed 83, which diverges to inf; and products past 1e308 of either
+    # sign, which give inf and nan
+    nonfinite = []
+    for u in (np.random.default_rng(42).uniform(0, 0.5, 200),
+              np.random.default_rng([83, 0]).uniform(0, 0.5, 2000),
+              np.random.default_rng(9).uniform(-1e200, 1e200, 300)):
+        y = np.zeros(u.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(u.size - 1):
+                s = sum(y[t - i] for i in range(10) if t - i >= 0)
+                y[t + 1] = (0.3 * y[t] + 0.05 * y[t] * s
+                            + 1.5 * (u[t - 9] if t >= 9 else 0.0) * u[t] + 0.1)
+        assert np.array_equal(narma10_recurrence(u).view(np.int64),
+                              y.view(np.int64))
+        nonfinite.append((np.isinf(y).any(), np.isnan(y).any()))
+    assert nonfinite == [(False, False), (True, False), (True, True)]
 
 
 def test_gen_narma_gives_up_after_bounded_attempts(monkeypatch):
