@@ -25,19 +25,30 @@ written.
 calls mode imports the package of both trees into one process, under two
 package names, and times one statement on each, alternating which side
 goes first in every round, so that host drift reaches both sides alike.
-The statement sees the package as `pkg` and the names the setup statement
-defines, which runs once per side.
+The statement sees the package as `pkg`, the names the setup statement
+defines, which runs once per side, and load_calls and replay below. Where
+both sides' statements set `out`, the two are compared after the last
+round; replay's digests compare the states bit for bit.
+
+capture mode runs one CLI call of this checkout in this process, its
+artifacts written to a temporary directory, and saves the inputs of every
+_backend.evolve_samples call it makes to an .npz file. Its recursions are
+replayed on both trees by
+
+  --setup "calls = load_calls('FILE.npz')" --stmt "out = replay(pkg, calls)"
 
 Usage:
   python3 benchmarks/ab.py perfbench PARENT CHANGE [--pairs N] [--out FILE]
   python3 benchmarks/ab.py calls PARENT CHANGE --stmt STMT [--setup STMT]
-      [--rounds N]
+      [--rounds N] [--out FILE]
+  python3 benchmarks/ab.py capture FILE.npz -- CLI_ARGS...
 
 PARENT and CHANGE are git revisions of this repository (`git stash create`
 names the working tree's tracked files as one).
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import statistics
@@ -46,6 +57,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -167,12 +180,67 @@ def import_tree(tree, name):
     return module
 
 
+def capture(path, argv):
+    """Run the CLI of this checkout on argv, its artifacts in a temporary
+    directory, and save the inputs of its _backend.evolve_samples calls to
+    path (.npz). Returns the number of calls."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from delayrc import _backend, cli
+    saved = []
+    evolve = _backend.evolve_samples
+
+    def recorded(J, d, G, M, beta, rho, Phi0, history):
+        saved.append({"u": J.u, "mask": J.mask,
+                      "history": np.asarray(history, dtype=float),
+                      "args": np.array([d, G, M, beta, rho, Phi0])})
+        return evolve(J, d, G, M, beta, rho, Phi0, history)
+
+    _backend.evolve_samples = recorded
+    try:
+        with tempfile.TemporaryDirectory(prefix="ab-capture-") as tmp:
+            rc = cli.main([*argv, f"out={tmp}"])
+    finally:
+        _backend.evolve_samples = evolve
+    if rc:
+        raise SystemExit(f"the CLI call exited with {rc}")
+    np.savez(path, **{f"{name}{i}": a for i, call in enumerate(saved)
+                      for name, a in call.items()})
+    return len(saved)
+
+
+def load_calls(path):
+    """The evolve_samples calls saved by capture: per call, (u, mask, d,
+    (G, M, beta, rho, Phi0), history)."""
+    with np.load(path) as f:
+        return [(f[f"u{i}"], f[f"mask{i}"], int(f[f"args{i}"][0]),
+                 tuple(f[f"args{i}"][1:].tolist()), f[f"history{i}"])
+                for i in range(len(f.files) // 4)]
+
+
+def digest(states):
+    """The shape and sha256 of an array's bits."""
+    return states.shape, hashlib.sha256(np.ascontiguousarray(states)).digest()
+
+
+def replay(pkg, captured):
+    """Run the captured calls on package pkg: the digest of each call's
+    states. A digest, not the states, so that a replay holds one call's
+    states at a time; hashing adds about 3 ms per 400,000 samples to both
+    sides."""
+    return [digest(pkg._backend.evolve_samples(
+                pkg._kernels.HeldInput(u, mask), d, *params, history))
+            for u, mask, d, params, history in captured]
+
+
 def calls(parent, change, stmt, setup="", rounds=20, log=sys.stdout):
     """Time stmt on both trees' packages in one process, alternating which
-    side goes first each round. Returns {side: [seconds per round]}."""
+    side goes first each round. Returns the seconds per round of each
+    side, their ratios and, where both statements set `out`, whether the
+    two are equal (else None)."""
     spaces = {}
     for side, tree in (("parent", parent), ("change", change)):
-        spaces[side] = {"pkg": import_tree(tree, f"delayrc_{side}")}
+        spaces[side] = {"pkg": import_tree(tree, f"delayrc_{side}"),
+                        "load_calls": load_calls, "replay": replay}
         exec(setup, spaces[side])
     code = compile(stmt, "<stmt>", "exec")
     times = {s: [] for s in SIDES}
@@ -182,15 +250,28 @@ def calls(parent, change, stmt, setup="", rounds=20, log=sys.stdout):
             exec(code, spaces[side])
             times[side].append(time.perf_counter() - t0)
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    bitwise = (spaces["parent"]["out"] == spaces["change"]["out"]
+               if all("out" in spaces[s] for s in SIDES) else None)
     print(f"{rounds} alternated rounds: parent median "
           f"{statistics.median(times['parent']) * 1e3:.2f} ms, change median "
           f"{statistics.median(times['change']) * 1e3:.2f} ms, change/parent "
           f"per round: median {statistics.median(ratios):.3f}, range "
-          f"{min(ratios):.3f}-{max(ratios):.3f}", file=log)
-    return times
+          f"{min(ratios):.3f}-{max(ratios):.3f}"
+          + {None: "", True: ", out bitwise", False: ", out DIFFER"}[bitwise],
+          file=log)
+    return {"stmt": stmt, "setup": setup, "rounds": rounds,
+            **{f"{s}_s": [round(t, 6) for t in times[s]] for s in SIDES},
+            "ratios": [round(x, 4) for x in ratios], "bitwise": bitwise}
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["capture"]:
+        if len(argv) < 4 or argv[2] != "--":
+            raise SystemExit("usage: ab.py capture FILE.npz -- CLI_ARGS...")
+        n = capture(argv[1], argv[3:])
+        print(f"{n} evolve_samples calls saved to {argv[1]}")
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("mode", choices=("perfbench", "calls"))
     ap.add_argument("parent")
@@ -209,14 +290,14 @@ def main(argv=None):
             trees[side] = Path(tmp, side)
             export(getattr(args, side), trees[side])
         if args.mode == "calls":
-            calls(trees["parent"], trees["change"], args.stmt, args.setup,
-                  args.rounds)
-            return 0
-        section = perfbench(trees["parent"], trees["change"], args.pairs)
+            section = calls(trees["parent"], trees["change"], args.stmt,
+                            args.setup, args.rounds)
+        else:
+            section = perfbench(trees["parent"], trees["change"], args.pairs)
     text = json.dumps(section, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    else:
+    elif args.mode == "perfbench":
         print(text)
     return 0
 

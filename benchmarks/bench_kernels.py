@@ -22,13 +22,14 @@ drives in lockstep (hyperopt._lockstep_groups under
 hyperopt._LOCKSTEP_BYTES).
 
 The segments section times the README's narma10 reservoir on the narma10
-series (n_samples of it) at ten delays, and the default sine_square
+series (n_samples of it) at twelve delays, and the default sine_square
 sweep's first lockstep group (seeds 0-2, the CLI's default reservoir) at
 the sweep's eight delays, run whole against segmented. It prints the
-segment count S, the merge sample counts (from a later segment's start
-until a run of it from zero history agrees bitwise with the exact states
-on d samples), the rows that fell back, and whether the two runs are
-bitwise equal.
+segment count S, the samples stepped per sample (first runs, restarts and
+fallbacks), the merge sample counts (from a later segment's start until a
+run of it from zero history agrees bitwise with the exact states on d
+samples), the rows that fell back, and whether the two runs are bitwise
+equal.
 
 The dynamics section times the stages of a bifurcation diagram:
 fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
@@ -304,25 +305,32 @@ def merge_sample(a, b, d):
 
 def segmented(J, d, params):
     """(best-of-3 seconds segmented, the same run whole, the segmented
-    states, the whole ones, rows that fell back): fallbacks are the rows
-    whose frontier _kernels._segments left before its last segment."""
-    fallbacks = [0]
-    segments = _kernels._segments
+    states, the whole ones, rows that fell back, steps per sample):
+    fallbacks are the rows whose frontier _kernels._segments left before
+    its last segment; steps are the samples _kernels._steps ran in one
+    segmented call, first runs, restarts and fallbacks together, per
+    sample of J."""
+    fallbacks, steps = [0], [0]
+    segments, stepper = _kernels._segments, _kernels._steps
 
     def watched(J, d, p, histories, out, S):
         frontier = segments(J, d, p, histories, out, S)
         fallbacks[0] = int((frontier < J.u.shape[1] // S * S).sum())
         return frontier
 
+    def counted(u, mask, *args):
+        steps[0] += u.size * mask.size
+        return stepper(u, mask, *args)
+
     history = np.zeros(d)
     t_whole, ref = bench(whole, J, d, history, params=params)
-    _kernels._segments = watched
+    _kernels._segments, _kernels._steps = watched, counted
     try:
         t_seg, out = bench(_kernels.evolve_samples_numpy, J, d, history,
                            params=params)
     finally:
-        _kernels._segments = segments
-    return t_seg, t_whole, out, ref, fallbacks[0]
+        _kernels._segments, _kernels._steps = segments, stepper
+    return t_seg, t_whole, out, ref, fallbacks[0], steps[0] / (3 * J.size)
 
 
 def merges(J, d, params, exact):
@@ -359,22 +367,25 @@ def bench_segments(n):
     print(f"time-segmented recursion, up to {n // K * K:,} samples per row, "
           f"k={K}, best of 3: the rows run whole (segmentation off) against "
           f"cut into S segments (_SEGMENT_WIDTH {_kernels._SEGMENT_WIDTH}, "
-          f"first window {_kernels._WINDOW} cycles, windows up to "
-          f"1/{_kernels._WINDOW_SHARE} of a segment, segments of at least "
-          f"{_kernels._MIN_TRIPS} round trips of d). merge: samples from a "
+          f"segments of at least {_kernels._MIN_TRIPS} round trips of d; "
+          "each later segment restarts from the one before over windows of "
+          f"at first {_kernels._WINDOW} cycles that double, each continuing "
+          f"the last, up to 1/{_kernels._WINDOW_SHARE} of the segment). "
+          "steps: samples stepped per sample of the rows, first "
+          "runs, restarts and fallbacks together. merge: samples from a "
           "later segment's start until its zero-history run agrees bitwise "
           "with the exact states on d samples, min/median/max over segments, "
           "and how many never do within the segment; fallbacks: rows run "
           "again from a segment that did not merge")
     print(f"{'stream':>12} {'rows':>4} {'d':>4} {'whole ms':>9} "
-          f"{'segmented':>9} {'speedup':>8} {'S':>3} "
+          f"{'segmented':>9} {'speedup':>8} {'S':>3} {'steps':>5} "
           f"{'merge min/med/max, never':>26} {'fallbacks':>9}  match")
     cases = ([("narma10", narma, d, narma_params)
-              for d in (1, 4, 8, 14, 17, 41, 50, 62, 114, 200)]
+              for d in (1, 2, 3, 4, 8, 14, 17, 41, 50, 62, 114, 200)]
              + [("sine_square", sweep, d, sweep_params)
                 for d in (12, 25, 38, 50, 62, 75, 88, 100)])
     for name, J, d, params in cases:
-        t_seg, t_whole, out, ref, fallbacks = segmented(J, d, params)
+        t_seg, t_whole, out, ref, fallbacks, steps = segmented(J, d, params)
         S = _kernels._segment_count(d, *J.u.shape, K)
         ms = merges(J, d, params, ref)
         done = sorted(m for m in ms if m is not None)
@@ -385,7 +396,7 @@ def bench_segments(n):
         same = np.array_equal(out.view(np.int64), ref.view(np.int64))
         print(f"{name:>12} {J.u.shape[0]:>4} {d:>4} {t_whole * 1e3:>9.1f} "
               f"{t_seg * 1e3:>9.1f} {t_whole / t_seg:>7.2f}x {S:>3} "
-              f"{merge:>26} {fallbacks:>9}  "
+              f"{steps:>5.2f} {merge:>26} {fallbacks:>9}  "
               f"{'bitwise' if same else 'DIFFER'}")
 
 

@@ -28,14 +28,14 @@ and a contracting reservoir started from two histories gets there in a
 finite number of samples (its echo state property shrinks the gap until
 rounding closes it). Each later segment runs again from the last d
 samples of the one before it, all such restarts as rows of one recursion,
-over windows that double up to a fixed share of the segment; a restart
-whose window ends on the first run's bits has merged, and its window is
-spliced in. The first segment is exact, so by induction every segment up
+over windows that double up to a fixed share of the segment, each one
+continuing the last; a restart whose window ends on the first run's bits
+has merged. The first segment is exact, so by induction every segment up
 to a row's first unmerged one is exact; from there the row runs once more
 as a plain row. The rows are written into the one output array, so a
 recursion holds its states, chunk buffers and restart bookkeeping but no
 second stream-sized array, and a stream that never merges steps under
-2.5x its samples. numba compiles the plain loop and runs it row by row on
+2.25x its samples. numba compiles the plain loop and runs it row by row on
 the formed J. Segmented or whole, and on both backends, the samples are
 bitwise identical. Backend selection lives in _backend.
 
@@ -56,11 +56,10 @@ import numpy as np
 _CHUNK = 4096
 # a stream is cut into segments of whole cycles that run as lockstep rows
 # until the block width d*rows reaches about _SEGMENT_WIDTH; each segment
-# holds at least _MIN_SEGMENT first restart windows of _WINDOW cycles and
-# _MIN_TRIPS round trips of d samples, and windows double up to
+# holds _WINDOW_SHARE windows of d samples and _MIN_TRIPS round trips of
+# d samples, and restart windows of at first _WINDOW cycles double up to
 # 1/_WINDOW_SHARE of a segment, so a stream that never merges steps under
-# 2.5x its samples (_MIN_SEGMENT >= _WINDOW_SHARE >= 2 keeps every window
-# inside its segment). Segments of README's narma10 reservoir merge after
+# 2.25x its samples. Segments of README's narma10 reservoir merge after
 # about 120 round trips, which a doubling window may overshoot by 2x, so a
 # quarter of 1000 leaves room for it: shorter segments fell back and made
 # streams of 800-3200 cycles slower than run whole. The values were
@@ -70,7 +69,6 @@ _CHUNK = 4096
 _SEGMENT_WIDTH = 400
 _WINDOW = 40
 _WINDOW_SHARE = 4
-_MIN_SEGMENT = 4
 _MIN_TRIPS = 1000
 
 
@@ -160,17 +158,11 @@ def _steps(u, mask, d, half_G, M, beta, rho, Phi0, histories):
         buf[:dR] = buf[m:m + dR]
 
 
-def _window(d, k):
-    """Cycles of a restart's first window: _WINDOW, or enough to hold d
-    samples."""
-    return max(_WINDOW, -(-d // k))
-
-
 def _segment_count(d, rows, cycles, k):
     """Segments per row: as many as widen the block d*rows to about
-    _SEGMENT_WIDTH, each at least _MIN_SEGMENT first windows and
-    _MIN_TRIPS round trips of d samples long."""
-    shortest = max(_MIN_SEGMENT * _window(d, k), -(-_MIN_TRIPS * d // k))
+    _SEGMENT_WIDTH, each long enough for _WINDOW_SHARE windows of d
+    samples and for _MIN_TRIPS round trips of d samples."""
+    shortest = max(_WINDOW_SHARE * -(-d // k), -(-_MIN_TRIPS * d // k))
     return max(1, min(_SEGMENT_WIDTH // (d * rows), cycles // shortest))
 
 
@@ -180,12 +172,13 @@ def _segments(J, d, p, histories, out, S):
 
     Every segment of every row runs as a lockstep row, the first from the
     row's history and the others from zeros. Each later segment then runs
-    again from the last d samples of the one before it, over a window of
-    cycles that doubles up to 1/_WINDOW_SHARE of the segment, until the
-    window ends on the first run's bits: the recursion reads nothing older
-    than d samples, so from there the first run is the restarted one. By
-    induction from the exact first segment, every segment before a row's
-    first unmerged one is exact, and so is that one's last window.
+    again from the last d samples of the one before it, over windows that
+    double up to 1/_WINDOW_SHARE of the segment, each one continuing the
+    last, until a window ends on the first run's bits: the recursion
+    reads nothing older than d samples, so from there the first run is
+    the restarted one. By induction from the exact first segment, every
+    segment before a row's first unmerged one is exact, and so is that one
+    up to its last window.
     """
     R, cycles = J.u.shape
     k = J.mask.size
@@ -197,30 +190,35 @@ def _segments(J, d, p, histories, out, S):
     for c, block in _steps(J.u[:, :S * L].reshape(R * S, L), J.mask, d, *p,
                            h.reshape(R * S, d)):
         seg[:, :, c:c + block.shape[1]] = block.reshape(R, S, -1)
-    # the unmerged restarts, by row r and segment j >= 1
+    # the unmerged restarts, by row r and segment j >= 1, each exact up to
+    # cycle a of its segment
     r, j = np.divmod(np.arange(R * (S - 1)), S - 1)
     j += 1
-    w = _window(d, k)
+    n = -(-d // k)          # cycles that hold d samples
+    cap = L // _WINDOW_SHARE
+    a, w = 0, max(_WINDOW, n)
     while True:
-        # a window writes over no sample a later window compares, nor the
-        # tail of its segment that the next segment restarts from
-        wk = w * k
-        first_run = seg[r, j, wk - d:wk].view(np.int64)
-        cols = j[:, None] * L + np.arange(w)
-        for c, block in _steps(J.u[r[:, None], cols], J.mask, d, *p,
-                               seg[r, j - 1, Lk - d:]):
-            seg[r, j, c:c + block.shape[1]] = block
-        last = seg[r, j, wk - d:wk]
+        # a window ends at the cap, or takes the rest up to it where that
+        # holds under d samples: the d samples a window compares must all
+        # be its own, and the first run's there is saved before it writes
+        b = cap if cap - (a + w) < n else a + w
+        bk = b * k
+        first_run = seg[r, j, bk - d:bk].view(np.int64)
+        last_d = out[r[:, None], (j * Lk + a * k)[:, None] + np.arange(-d, 0)]
+        cols = j[:, None] * L + np.arange(a, b)
+        for c, block in _steps(J.u[r[:, None], cols], J.mask, d, *p, last_d):
+            seg[r, j, a * k + c:a * k + c + block.shape[1]] = block
+        last = seg[r, j, bk - d:bk]
         # equal bits, not ==, which takes -0.0 for 0.0; and never on nan
         open_ = ~((last.view(np.int64) == first_run).all(axis=1)
                   & np.isfinite(last).all(axis=1))
         r, j = r[open_], j[open_]
-        if not r.size or 2 * w > L // _WINDOW_SHARE:
+        if not r.size or b == cap:
             break
-        w *= 2
+        a, w = b, 2 * w
     frontier = np.full(R, S * L)
     rows, first_open = np.unique(r, return_index=True)
-    frontier[rows] = j[first_open] * L + w
+    frontier[rows] = j[first_open] * L + b
     return frontier
 
 

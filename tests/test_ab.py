@@ -100,17 +100,58 @@ def test_gain_rule_needs_nine_tenths_and_the_parent_spread():
     assert not ab.summarize(pairs, metric)["x"]["gain_rule"]
 
 
+def _forget_trees():
+    for name in [n for n in sys.modules
+                 if n.split(".")[0] in ("delayrc_parent", "delayrc_change")]:
+        del sys.modules[name]
+
+
 def test_calls_imports_both_trees_as_two_packages():
     out = io.StringIO()
     try:
-        times = ab.calls(ROOT, ROOT, "names.append(pkg.__name__)",
-                         setup="names = []", rounds=3, log=out)
+        section = ab.calls(ROOT, ROOT, "names.append(pkg.__name__)",
+                           setup="names = []", rounds=3, log=out)
         parent, change = (sys.modules[f"delayrc_{s}"] for s in ab.SIDES)
         assert parent is not change
         assert parent._kernels is not change._kernels
     finally:
-        for name in [n for n in sys.modules
-                     if n.split(".")[0] in ("delayrc_parent", "delayrc_change")]:
-            del sys.modules[name]
-    assert {s: len(t) for s, t in times.items()} == {"parent": 3, "change": 3}
+        _forget_trees()
+    assert len(section["parent_s"]) == len(section["change_s"]) == 3
+    assert len(section["ratios"]) == 3
+    # the statement sets no `out`, so there are no bits to compare
+    assert section["bitwise"] is None
     assert "3 alternated rounds" in out.getvalue()
+
+
+def test_captured_recursions_replay_on_both_trees(tmp_path, monkeypatch):
+    import delayrc
+    from delayrc import _backend
+    path = tmp_path / "calls.npz"
+    argv = ["sweep-delay", "sweep.grid=0.26,0.5", "sweep.repeats=2",
+            "task=sine_square", "task.n_waveforms=4", "task.periods=8",
+            "task.washout=2"]
+    # the states the CLI call computes, to compare the replay with
+    states = []
+    evolve = _backend.evolve_samples
+
+    def kept(*args):
+        states.append(evolve(*args))
+        return states[-1]
+    monkeypatch.setattr(_backend, "evolve_samples", kept)
+    assert ab.capture(path, argv) == 2       # one lockstep group per delay
+    monkeypatch.setattr(_backend, "evolve_samples", evolve)
+    captured = ab.load_calls(path)
+    assert [(u.shape, d, h.shape) for u, _, d, _, h in captured] == [
+        ((2, 128), 13, (13,)), ((2, 128), 25, (25,))]
+    assert ab.replay(delayrc, captured) == [ab.digest(s) for s in states]
+    out = io.StringIO()
+    try:
+        section = ab.calls(ROOT, ROOT, "out = replay(pkg, calls)",
+                           setup=f"calls = load_calls({str(path)!r})",
+                           rounds=2, log=out)
+        differ = ab.calls(ROOT, ROOT, "out = [pkg.__name__]", rounds=1,
+                          log=out)
+    finally:
+        _forget_trees()
+    assert section["bitwise"] is True and "out bitwise" in out.getvalue()
+    assert differ["bitwise"] is False and "out DIFFER" in out.getvalue()

@@ -342,8 +342,7 @@ def test_overflow_leaves_nan_where_the_loop_does(R):
 # _kernels settings that cut every stream of a few thousand samples into
 # segments with short first windows, that never cut one, and the defaults
 # (last, so a test's other calls see them)
-SEGMENT_CASES = (dict(_SEGMENT_WIDTH=10**9, _WINDOW=8, _MIN_SEGMENT=16,
-                      _MIN_TRIPS=0),
+SEGMENT_CASES = (dict(_SEGMENT_WIDTH=10**9, _WINDOW=8, _MIN_TRIPS=120),
                  dict(_SEGMENT_WIDTH=0), {})
 
 
@@ -413,14 +412,14 @@ def test_segments_match_loop_bitwise(monkeypatch, G, d, R):
             if merges:
                 assert stepped[0] < 1.5 * held.size
             else:
-                assert 1.5 * held.size < stepped[0] <= 2.5 * held.size
+                assert 1.5 * held.size < stepped[0] <= 2.25 * held.size
         elif case is SEGMENT_CASES[1]:
             assert stepped[0] == held.size
 
 
-# the shortest segment, in cycles at k = 7: _MIN_SEGMENT first windows
-# of _WINDOW cycles, or _MIN_TRIPS round trips of d samples if longer
-@pytest.mark.parametrize("d, trips, shortest", [(3, 0, 16 * 8),
+# the shortest segment, in cycles at k = 7: _WINDOW_SHARE windows of d
+# samples, or _MIN_TRIPS round trips of d samples if longer
+@pytest.mark.parametrize("d, trips, shortest", [(3, 0, 4),
                                                 (14, 500, 500 * 14 // 7)])
 def test_streams_under_two_segments_run_whole(monkeypatch, d, trips,
                                               shortest):
@@ -437,6 +436,32 @@ def test_streams_under_two_segments_run_whole(monkeypatch, d, trips,
         assert (stepped[0] == held.size) == (n < 2 * shortest), n
         ref = _kernels.evolve_samples_loop(mask_input(u, mask), *params)
         assert _same_bits(S[0], ref), n
+
+
+def test_restart_windows_hold_d_samples_up_to_the_cap(monkeypatch):
+    # d = 20 > k = 7 and 980 cycles: 2 segments of 490, restarts capped at
+    # 122 cycles. Windows of 8, 16 and 32 cycles end at 56; the next, of
+    # 64, would leave 2 cycles (14 samples, under d) to the cap, so it
+    # takes them. The stream is chaotic, so every window runs.
+    rng = np.random.default_rng(80)
+    mask = make_input_mask(7, 5)
+    _set_segments(monkeypatch, SEGMENT_CASES[0])
+    widths = []
+    steps = _kernels._steps
+
+    def spied(u, mask, d, *args):
+        widths.append(u.shape[1])
+        assert u.shape[1] * mask.size >= d
+        return steps(u, mask, d, *args)
+    monkeypatch.setattr(_kernels, "_steps", spied)
+    d = 20
+    u = rng.uniform(-1, 1, 980)
+    params = (d, 3.0, 0.983, 0.85, 0.9, 0.63, rng.uniform(0, 1, d))
+    S = _kernels.evolve_samples_numpy(_kernels.HeldInput(u[None],
+                                                         mask.values), *params)
+    assert widths[:5] == [490, 8, 16, 32, 66]
+    ref = _kernels.evolve_samples_loop(mask_input(u, mask), *params)
+    assert _same_bits(S[0], ref)
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +498,20 @@ def test_recursion_peak_memory_is_bounded(benchmark_streams, task, d):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * S.nbytes, peak / S.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_small_delays_cut_streams_into_more_segments(benchmark_streams, d):
+    # segments need room for their restarts only, so the narma10 series
+    # is cut into _SEGMENT_WIDTH // d of them
+    held = benchmark_streams["narma10"]
+    assert _kernels._segment_count(d, 1, 8000, 50) == 400 // d
+    # README's narma10 reservoir
+    params = (d, 0.54, 0.983, 1.0, 0.22, 3.12, np.zeros(d))
+    S = _kernels.evolve_samples_numpy(held, *params)
+    ref = _kernels.evolve_samples_loop(_kernels.masked(held.u[0], held.mask),
+                                       *params)
+    assert _same_bits(S[0], ref)
 
 
 def test_rows_take_one_history_for_every_row():
