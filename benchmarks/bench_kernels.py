@@ -36,14 +36,12 @@ fixed_points_of_iterate for each N = 1..8 at a few gains, the transient
 iterate behind each orbit, and a 31-value sweep over the CLI's default
 range (G over [0.1, 1.6]), also given per axis value, then the same sweep
 with its CSV written, split into the grid images, bisection, period check
-(with the orbit multipliers where the module forms them in one batch),
-orbits and CSV emission; that CSV must be bitwise the one an unwrapped
-run writes. It also times an integrate_dde call of 5 * n_samples steps
-(2,000,000 by default). Run it with PYTHONPATH pointing at another
-checkout's src to time that version (the segments section needs one that
-segments). Tables from two processes on a shared host drift apart; to
-compare two versions of a call, time both in one process with
-benchmarks/ab.py calls.
+(with the orbit multipliers), orbits and CSV emission; that CSV must be
+bitwise the one an unwrapped run writes. It also times an integrate_dde
+call of 5 * n_samples steps (2,000,000 by default). It times the package
+it imports, as it is; tables from two processes on a shared host drift
+apart, so to compare two versions of a call, time both in one process
+with benchmarks/ab.py calls.
 
 Usage: python3 benchmarks/bench_kernels.py [n_samples] [--section S]
   S is recursion, lockstep, segments, dynamics or all (default).
@@ -101,24 +99,13 @@ def best_ms(fn, *args, repeats=5):
     return best * 1e3
 
 
-# dynamics function -> the sweep stage its calls belong to. Versions of the
-# module differ in which of these exist: the grid is mapped once per
-# parameter set for every N (_image_stack), or once per N with the images
-# of the last parameters kept (_grid_image); the batched classifier
-# (_classify_all) checks the periods and forms the orbit multipliers of all
-# roots at once; older ones check each root's period on its own
-# (_iterate_n_float) and count its multiplier as "other", bisect each cell
-# on its own (_bisect), and older still map the grid and check periods
-# through iterate_n, whose calls are told apart by their argument (an array
-# is the grid, a scalar a period check). Missing names are skipped.
+# dynamics function -> the sweep stage its calls belong to; the batched
+# classifier (_classify_all) checks the periods and forms the orbit
+# multipliers of all roots at once
 SWEEP_STAGES = {
     "_image_stack": "grid",
-    "_grid_image": "grid",
     "_bisect_all": "bisection",
-    "_bisect": "bisection",
     "_classify_all": "period check",
-    "_iterate_n_float": "period check",
-    "iterate_n": lambda x, *_: "grid" if np.ndim(x) else "period check",
     "iterate": "orbit",
     "bifurcation_to_csv": "csv",
 }
@@ -141,13 +128,11 @@ def split_sweep(sweep):
             try:
                 return fn(*args, **kwargs)
             finally:
-                name = stage(*args) if callable(stage) else stage
-                ms[name] += (time.perf_counter() - t0) * 1e3
+                ms[stage] += (time.perf_counter() - t0) * 1e3
                 depth[0] -= 1
         return timed
 
-    saved = {n: getattr(dynamics, n) for n in SWEEP_STAGES
-             if hasattr(dynamics, n)}
+    saved = {n: getattr(dynamics, n) for n in SWEEP_STAGES}
     try:
         for name, fn in saved.items():
             setattr(dynamics, name, wrap(fn, SWEEP_STAGES[name]))

@@ -31,6 +31,23 @@ def _bool(raw: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {raw!r}")
 
 
+def _seed(raw: str) -> int:
+    """An integer in [0, 2**128), the keys Philox takes for the mask."""
+    v = int(raw)
+    if not 0 <= v < 2**128:
+        raise ConfigurationError(f"a seed must be in [0, 2**128), got {v}")
+    return v
+
+
+def _width(raw: str) -> int:
+    """optimize.width, kept so that every effective.cfg that names it
+    still runs: trials run one at a time, so 1 is its only value."""
+    if int(raw) != 1:
+        raise ConfigurationError(
+            f"trials run one at a time, so the width must be 1, got {raw}")
+    return 1
+
+
 # the most values a range spec lo:hi:step may produce
 MAX_RANGE_VALUES = 100_000
 
@@ -71,7 +88,7 @@ _PARAM_KEYS = {"rho": "reservoir.rho", "G": "reservoir.G",
 _SCHEMA = {
     "command": (str, None),
     "out": (str, None),
-    **{f"seed.{name}": (int, v) for name, v in pipeline.SEED_DEFAULTS.items()},
+    **{f"seed.{name}": (_seed, v) for name, v in pipeline.SEED_DEFAULTS.items()},
     "task": (str, "sine_square"),
     "task.n_waveforms": (int, _SINE["n_waveforms"]),
     "task.spp_lo": (int, _SINE["samples_per_period"][0]),
@@ -96,7 +113,7 @@ _SCHEMA = {
     "optimize.n_startup": (int, 20),
     "optimize.gamma": (float, 0.25),
     "optimize.n_candidates": (int, 24),
-    "optimize.width": (int, 1),
+    "optimize.width": (_width, 1),
     "optimize.record_timings": (_bool, False),
     **{f"space.{name}": (_floats, getattr(hyperopt.SearchSpace, name))
        for name in _PARAM_KEYS},
@@ -322,12 +339,13 @@ def cmd_optimize(cfg: dict) -> int:
     study = hyperopt.run_study(
         cfg["task"], template=_template(cfg), space=_space(cfg),
         budget=cfg["optimize.budget"], seeds=_seeds(cfg),
-        path=_study_path(cfg),
-        width=cfg["optimize.width"], sampler=cfg["optimize.sampler"],
+        path=_study_path(cfg), sampler=cfg["optimize.sampler"],
         n_startup=cfg["optimize.n_startup"], gamma=cfg["optimize.gamma"],
         n_candidates=cfg["optimize.n_candidates"],
         record_timing=cfg["optimize.record_timings"],
-        task_options=_task_options(cfg))
+        task_options=_task_options(cfg),
+        # a refused study leaves its directory untouched
+        on_open=lambda: _echo_config(cfg))
     best = study.best
     if best is None:
         print("no successful trial", file=sys.stderr)
@@ -401,10 +419,7 @@ def main(argv=None) -> int:
                 f"unknown task {cfg['task']!r}, expected one of {pipeline.TASK_IDS}\n"
                 + ap.format_usage())
         if ns.cmd == "optimize":
-            # a refused study leaves its directory untouched
-            with hyperopt.locked_study(_study_path(cfg)):
-                _echo_config(cfg)
-                return cmd_optimize(cfg)
+            return cmd_optimize(cfg)
         _echo_config(cfg)
         if ns.cmd == "dynamics":
             return cmd_dynamics(ns.sub, cfg)

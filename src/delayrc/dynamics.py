@@ -199,9 +199,9 @@ def cobweb(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
         raise ConfigurationError(f"x0 must be finite, got {x0!r}")
     traj = iterate(x0, n, p)
     pts = np.empty((2 * n, 2))
-    for i in range(n):
-        pts[2 * i] = (traj[i], traj[i + 1])
-        pts[2 * i + 1] = (traj[i + 1], traj[i + 1])
+    pts[0::2, 0] = traj[:-1]
+    pts[0::2, 1] = traj[1:]
+    pts[1::2] = traj[1:, None]
     return pts
 
 

@@ -36,8 +36,6 @@ logger = logging.getLogger("delayrc.hyperopt")
 DIMS = ("rho", "G", "Phi0", "tau_over_T", "lam")
 _LOG_DIMS = ("lam",)          # sampled and modeled in log10 space
 _LOW_OPEN = ("G", "tau_over_T")   # lower bound excluded
-# the most suggestions one batch may draw from the same history
-MAX_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -211,40 +209,35 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     return params
 
 
-def _suggest(study: Study, history, sampler, trial_id, tpe_options):
+def _suggest(study: Study, sampler, trial_id, tpe_options):
     rng = np.random.default_rng([study.sampler_seed, trial_id])
     if sampler == "random":
         return study.space.sample(rng)
-    return tpe_suggest(history, study.space, rng=rng, **tpe_options)
+    return tpe_suggest(study, study.space, rng=rng, **tpe_options)
 
 
-def _search(study: Study, objective, budget: int, sampler: str, width: int = 1,
+def _search(study: Study, objective, budget: int, sampler: str,
             record_timing: bool = False, path=None, **tpe_options):
     """Run trials on objective(params) -> loss until the study holds
-    budget trials, appending each to path if given. Trials come in
-    batches of `width` ids from a multiple of width, each drawn from the
-    trials before its batch, so a study resumed inside a batch draws the
-    rest of it as an uninterrupted run would. tpe_options (n_startup,
-    gamma, n_candidates) go to tpe_suggest."""
-    while len(study.trials) < budget:
-        base = len(study.trials)
-        start = base - base % width
-        history = study.trials[:start]
-        for i in range(base, min(start + width, budget)):
-            params = _suggest(study, history, sampler, i, tpe_options)
-            t = _run_objective(objective, params, i, i, record_timing)
-            study.trials.append(t)
-            if path is not None:
-                _append_trial(path, t)
+    budget trials, appending each to path if given. Trials run one at a
+    time, and trial i draws from trials 0..i-1, so a resumed study draws
+    as an uninterrupted run would. tpe_options (n_startup, gamma,
+    n_candidates) go to tpe_suggest."""
+    for i in range(len(study.trials), budget):
+        params = _suggest(study, sampler, i, tpe_options)
+        t = _run_objective(objective, params, i, i, record_timing)
+        study.trials.append(t)
+        if path is not None:
+            _append_trial(path, t)
     return study
 
 
 def run_study(task: str, template: dict | None = None,
               space: SearchSpace | None = None, budget: int = 1,
-              seeds: dict | None = None, path=None, width: int = 1,
+              seeds: dict | None = None, path=None,
               sampler: str = "tpe", n_startup: int = 20, gamma: float = 0.25,
               n_candidates: int = 24, record_timing: bool = False,
-              task_options: dict | None = None) -> Study:
+              task_options: dict | None = None, on_open=None) -> Study:
     """Optimize the five tunables on a benchmark and persist the study.
 
     template fixes the non-searched reservoir fields (k, beta, M, add_bias).
@@ -256,15 +249,14 @@ def run_study(task: str, template: dict | None = None,
     to the requested budget (deterministically identical to an
     uninterrupted run). While it runs, the study holds a lock on the
     directory of path, and a second study on that directory raises
-    ConfigurationError instead of interleaving its appends.
+    ConfigurationError instead of interleaving its appends. on_open, if
+    given, is called with no arguments once the lock is held and the
+    setup checked, before the first trial runs.
     """
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget}")
     if sampler not in ("tpe", "random"):
         raise ConfigurationError(f"sampler must be tpe or random, got {sampler!r}")
-    if not 1 <= width <= MAX_WIDTH:
-        raise ConfigurationError(
-            f"width must be in [1, {MAX_WIDTH}], got {width}")
     _check_tpe_options(n_startup, gamma, n_candidates)
     space = space or SearchSpace()
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
@@ -291,14 +283,12 @@ def run_study(task: str, template: dict | None = None,
                           sampler_seed=seeds["sampler"])
             if path is not None:
                 save_study(study, path)
+        if on_open is not None:
+            on_open()
         return _search(
             study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
-            budget, sampler, width=width, record_timing=record_timing,
-            path=path, n_startup=n_startup, gamma=gamma,
-            n_candidates=n_candidates)
-
-
-_HELD = set()   # study directories this process holds the lock on
+            budget, sampler, record_timing=record_timing, path=path,
+            n_startup=n_startup, gamma=gamma, n_candidates=n_candidates)
 
 
 @contextlib.contextmanager
@@ -309,14 +299,12 @@ def locked_study(path):
     The lock is a flock on the file's directory, not on the file:
     save_study replaces the file, and a lock on the old inode would not
     exclude a writer that opens the new one. Locking writes nothing, so
-    the directory's contents stay as they are. Inside a block that holds
-    the lock, taking it again holds it on (the CLI takes it before it
-    writes effective.cfg, then runs the study).
+    the directory's contents stay as they are.
     """
-    folder = None if path is None else os.path.dirname(os.path.abspath(path))
-    if folder is None or folder in _HELD:
+    if path is None:
         yield
         return
+    folder = os.path.dirname(os.path.abspath(path))
     os.makedirs(folder, exist_ok=True)
     fd = os.open(folder, os.O_RDONLY)
     try:
@@ -326,11 +314,7 @@ def locked_study(path):
             raise ConfigurationError(
                 f"study {path} is in use: another study holds the lock on "
                 f"{folder}") from None
-        _HELD.add(folder)
-        try:
-            yield
-        finally:
-            _HELD.discard(folder)
+        yield
     finally:
         os.close(fd)   # releases the lock
 

@@ -202,12 +202,14 @@ def task_setup(task: str, template: dict | None = None,
                options: dict | None = None):
     """(template, options, data(seed)) of a benchmark id: template and
     options override TEMPLATE_DEFAULTS and the task's TASK_DEFAULTS entry.
-    The stream size is checked against MAX_STREAM_SAMPLES before any data
-    is built; data(seed) is _last_seed_cached."""
+    The washout and the stream size (against MAX_STREAM_SAMPLES) are
+    checked before any data is built; data(seed) is _last_seed_cached."""
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
     t = {**TEMPLATE_DEFAULTS, **(template or {})}
     o = {**TASK_DEFAULTS[task], **(options or {})}
+    if o["washout"] < 0:
+        raise ConfigurationError(f"washout must be >= 0, got {o['washout']}")
     check_stream_samples(_max_cycles(task, o) * t["k"], f"task {task}")
     return t, o, _last_seed_cached(_task_data(task, o))
 

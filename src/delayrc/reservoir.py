@@ -243,14 +243,7 @@ def transition_structure(k: int, d: int) -> TransitionStructure:
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     dp, c = d % k, d // k
-    w_same = np.zeros((k, k))
-    w_prev = np.zeros((k, k))
     if dp == 0:
         # all dependencies sit exactly c cycles back
-        return TransitionStructure(w_same, np.eye(k), c - 1)
-    for i in range(k):
-        if i >= dp:
-            w_same[i, i - dp] = 1.0
-        else:
-            w_prev[i, i - dp + k] = 1.0
-    return TransitionStructure(w_same, w_prev, c)
+        return TransitionStructure(np.zeros((k, k)), np.eye(k), c - 1)
+    return TransitionStructure(np.eye(k, k=-dp), np.eye(k, k=k - dp), c)

@@ -292,7 +292,10 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
     code, _, err, outdir = run_cli([command] + argv + extra)
     assert code == 2
     assert "more than" in err
-    assert sorted(os.listdir(outdir)) == ["effective.cfg"]
+    if command == "optimize":   # a refused study writes nothing
+        assert not outdir.exists()
+    else:
+        assert sorted(os.listdir(outdir)) == ["effective.cfg"]
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
@@ -383,14 +386,43 @@ def test_bifurcation_with_roots_past_8192_ends(run_cli):
     assert any(int(r[1]) >= 0 and float(r[2]) > 8192 for r in rows)
 
 
-def test_optimize_width_is_bounded(run_cli):
-    from delayrc import hyperopt
-    code, _, err, outdir = run_cli(
-        ["optimize", "optimize.budget=2",
-         f"optimize.width={hyperopt.MAX_WIDTH + 1}"] + FAST_SS)
+@pytest.mark.parametrize("override", [
+    "seed.data=9", "optimize.width=0", "optimize.width=2",
+    "optimize.width=257",
+])
+def test_refused_optimize_leaves_the_study_directory_alone(run_cli,
+                                                           override):
+    args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
+    code, _, _, outdir = run_cli(args)
+    assert code == 0
+    before = hash_tree(outdir)
+    code, _, err, _ = run_cli(args + ["optimize.budget=3", override])
+    assert code == 2, err
+    assert err.startswith("error: ")
+    if override.startswith("optimize.width"):
+        assert "optimize.width: trials run one at a time" in err
+    assert hash_tree(outdir) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "seed.mask=-1"],
+    ["run", f"seed.mask={2**128}"],
+    ["run", "seed.data=-1"],
+    ["sweep-delay", "sweep.grid=0.5", "sweep.repeats=1", "seed.data=-1"],
+    ["run", "task=vowels", "seed.data=-1"],
+    ["optimize", "optimize.budget=1", "seed.sampler=-1"],
+])
+def test_seed_outside_philox_keys_exits_2(run_cli, argv):
+    code, _, err, outdir = run_cli(argv[:1] + FAST_SS + argv[1:])
+    assert code == 2, err
+    assert err.startswith(f"error: {argv[-1].partition('=')[0]}: ")
+    assert not outdir.exists()   # refused before anything is built
+
+
+def test_negative_washout_exits_2(run_cli):
+    code, _, err, _ = run_cli(["run"] + FAST_SS + ["task.washout=-5"])
     assert code == 2
-    assert "width" in err
-    assert not (outdir / "study.jsonl").exists()
+    assert err.startswith("error: washout must be >= 0")
 
 
 # budget 3 with two startup trials reaches the TPE suggestion, where the

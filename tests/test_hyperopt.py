@@ -198,7 +198,7 @@ def test_study_file_is_stable_jsonl(tmp_path):
 def test_run_study_persists_and_resumes(tmp_path):
     path = tmp_path / "study.jsonl"
     kw = dict(task="sine_square", budget=6, n_startup=3,
-              seeds={"sampler": 1, "data": 0, "mask": 0}, width=1,
+              seeds={"sampler": 1, "data": 0, "mask": 0},
               task_options={"n_waveforms": 4, "periods_per_waveform": 8,
                             "washout": 2})
     full = run_study(path=None, **kw)
@@ -324,33 +324,6 @@ def test_run_study_rejects_mismatched_resume(tmp_path):
     run_study(path=path, **kw)
     with pytest.raises(ConfigurationError):
         run_study(path=path, **{**kw, "seeds": {"data": 9}})
-
-
-def test_run_study_parallel_width_matches_serial(tmp_path):
-    kw = dict(task="sine_square", budget=4, n_startup=4, sampler="random",
-              seeds={"sampler": 3},
-              task_options={"n_waveforms": 4, "periods_per_waveform": 8,
-                            "washout": 2})
-    serial = run_study(width=1, **kw)
-    wide = run_study(width=4, **kw)
-    assert [t.params for t in serial.trials] == [t.params for t in wide.trials]
-    assert [t.loss for t in serial.trials] == [t.loss for t in wide.trials]
-
-
-def test_resumed_wide_study_matches_an_uninterrupted_run(tmp_path):
-    # budget 4 at width 3 stops one trial into the second batch; the
-    # resumed run must draw the rest of that batch from the history the
-    # batch started with, not from the trials run since
-    path = tmp_path / "study.jsonl"
-    kw = dict(task="sine_square", budget=8, n_startup=2, width=3,
-              seeds={"sampler": 1, "data": 0, "mask": 0},
-              task_options={"n_waveforms": 4, "periods_per_waveform": 8,
-                            "washout": 2})
-    full = run_study(path=None, **kw)
-    run_study(path=path, **{**kw, "budget": 4})
-    resumed = run_study(path=path, **kw)
-    assert [t.params for t in resumed.trials] == [t.params for t in full.trials]
-    assert [t.loss for t in resumed.trials] == [t.loss for t in full.trials]
 
 
 def test_run_study_validation():
