@@ -27,8 +27,9 @@ package names, and times one statement on each, alternating which side
 goes first in every round, so that host drift reaches both sides alike.
 The statement sees the package as `pkg`, the names the setup statement
 defines, which runs once per side, and load_calls and replay below. Where
-both sides' statements set `out`, the two are compared after the last
-round; replay's digests compare the states bit for bit.
+both sides' statements set `out`, the two are compared bit for bit after
+the last round (bits below); replay's digests compare the states bit for
+bit.
 
 capture mode runs one CLI call of this checkout in this process, its
 artifacts written to a temporary directory, and saves the inputs of every
@@ -222,6 +223,19 @@ def digest(states):
     return states.shape, hashlib.sha256(np.ascontiguousarray(states)).digest()
 
 
+def bits(value):
+    """A key of value that equals another value's key exactly where the
+    two hold the same bits: arrays and floats by dtype, shape and bytes
+    (== takes -0.0 for 0.0 and never nan for nan), lists and tuples item
+    by item."""
+    if isinstance(value, (np.ndarray, np.generic, float)):
+        a = np.asarray(value)
+        return a.dtype.str, a.shape, a.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value
+
+
 def replay(pkg, captured):
     """Run the captured calls on package pkg: the digest of each call's
     states. A digest, not the states, so that a replay holds one call's
@@ -250,7 +264,7 @@ def calls(parent, change, stmt, setup="", rounds=20, log=sys.stdout):
             exec(code, spaces[side])
             times[side].append(time.perf_counter() - t0)
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    bitwise = (spaces["parent"]["out"] == spaces["change"]["out"]
+    bitwise = (bits(spaces["parent"]["out"]) == bits(spaces["change"]["out"])
                if all("out" in spaces[s] for s in SIDES) else None)
     print(f"{rounds} alternated rounds: parent median "
           f"{statistics.median(times['parent']) * 1e3:.2f} ms, change median "

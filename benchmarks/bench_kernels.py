@@ -192,7 +192,7 @@ def bench_dynamics(n_samples):
     t = best_ms(dynamics.integrate_dde, *args, repeats=3)
     euler = dynamics._backend.dde_euler
     try:   # the same call with the Euler stepping left out
-        dynamics._backend.dde_euler = lambda n_steps, *_: np.zeros(n_steps + 1)
+        dynamics._backend.dde_euler = lambda V, *_: V.fill(0.0)
         t_pre = best_ms(dynamics.integrate_dde, *args, repeats=3)
     finally:
         dynamics._backend.dde_euler = euler
@@ -233,16 +233,23 @@ def bench_recursion(n):
 
     dde_n = 200_000
     pre = np.zeros(dde_n + 1)
-    args = (dde_n, 1e-3, 1000.0, 0.01, 0.28, 0.983, 1.0, 0.0, pre, 0.1)
-    t0 = time.perf_counter()
-    v_np = _kernels.dde_euler_loop(*args)
-    t_np = time.perf_counter() - t0
-    if _kernels.HAVE_NUMBA:
-        _kernels.dde_euler_numba(1000, *args[1:])
+    params = (1e-3, 1000.0, 0.01, 0.28, 0.983, 1.0, 0.0)
+
+    def dde(euler, n=dde_n):
+        """The time and the trace of n Euler steps from V(0) = 0.1."""
+        V = np.empty(n + 1)
+        V[0] = 0.1
         t0 = time.perf_counter()
-        v_nb = _kernels.dde_euler_numba(*args)
-        t_nb = time.perf_counter() - t0
-        same = np.array_equal(v_np, v_nb)
+        euler(V)
+        return time.perf_counter() - t0, V
+
+    # the numpy backend's call: Python floats through memoryviews
+    t_np, v_np = dde(lambda V: _kernels.dde_euler_loop(
+        memoryview(V), memoryview(pre), *params))
+    if _kernels.HAVE_NUMBA:
+        dde(lambda V: _kernels.dde_euler_numba(V, pre, *params), n=1000)
+        t_nb, v_nb = dde(lambda V: _kernels.dde_euler_numba(V, pre, *params))
+        same = v_np.tobytes() == v_nb.tobytes()
         print(f"\ndde euler, {dde_n:,} steps: numpy {t_np * 1e3:.1f} ms, "
               f"numba {t_nb * 1e3:.1f} ms, speedup {t_np / t_nb:.1f}x, "
               f"{'bitwise' if same else 'DIFFER'}")

@@ -46,8 +46,12 @@ def select_backend() -> str:
         dde_euler = _kernels.dde_euler_numba
     else:
         evolve_samples = _kernels.evolve_samples_numpy
-        dde_euler = _kernels.dde_euler_loop
+        dde_euler = _dde_euler_floats
     return _ACTIVE
+
+
+def _dde_euler_floats(V, pre, *params):   # Python floats, not numpy scalars
+    _kernels.dde_euler_loop(memoryview(V), memoryview(pre), *params)
 
 
 select_backend()

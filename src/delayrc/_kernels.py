@@ -253,33 +253,29 @@ def evolve_samples_compiled(J, d, G, M, beta, rho, Phi0, history):
     return out
 
 
-def dde_euler_loop(n_steps, dt, q, T_R, gs_pmax_half, M, inv_V_pi, x_b, pre, V0):
-    """First-order integration of V + T_R dV/dt = G* P[V(t - tau)].
-
-    q = tau/dt (float, >= 1). pre[j] carries the already-evaluated history
-    term for steps whose lookback lands before t=0; for later steps the
-    lookback is linearly interpolated from the trace being built.
+def dde_euler_loop(V, pre, dt, q, T_R, gs_pmax_half, M, inv_V_pi, x_b):
+    """First-order integration of V + T_R dV/dt = G* P[V(t - tau)] into V
+    from V[0] = V(0). q = tau/dt (float, >= 1). pre[j] carries the
+    already-evaluated history term for steps whose lookback lands before
+    t=0; later lookbacks interpolate linearly in V. numba runs it on arrays,
+    the numpy backend on their memoryviews, whose items are Python floats.
     """
-    V = np.empty(n_steps + 1)
-    V[0] = V0
-    for j in range(1, n_steps + 1):
-        # lookback time index for the drive term
-        if T_R > 0.0:
-            jj = (j - 1) - q
-        else:
-            jj = j - q
+    sin, pi = math.sin, math.pi
+    filtered = T_R > 0.0
+    shift = 1 if filtered else 0      # the filtered model looks back a step
+    rate = dt / T_R if filtered else 0.0
+    v = V[0]
+    for j in range(1, len(V)):
+        jj = (j - shift) - q
         if jj < 0.0:
             vp = pre[j]
         else:
             i0 = int(jj)
             w = jj - i0
             vp = V[i0] * (1.0 - w) + V[i0 + 1] * w if w > 0.0 else V[i0]
-        drive = gs_pmax_half * (1.0 + M * np.sin(np.pi * (vp * inv_V_pi + x_b)))
-        if T_R > 0.0:
-            V[j] = V[j - 1] + (dt / T_R) * (drive - V[j - 1])
-        else:
-            V[j] = drive
-    return V
+        drive = gs_pmax_half * (1.0 + M * sin(pi * (vp * inv_V_pi + x_b)))
+        v = v + rate * (drive - v) if filtered else drive
+        V[j] = v
 
 
 try:  # pragma: no cover - exercised via _backend

@@ -347,9 +347,9 @@ def cmd_optimize(cfg: dict) -> int:
         # a refused study leaves its directory untouched
         on_open=lambda: _echo_config(cfg))
     best = study.best
-    if best is None:
-        print("no successful trial", file=sys.stderr)
-        return 3
+    if best is None:    # budget >= 1, so every trial ran and failed
+        raise DelayRCError(f"no successful trial: {len(study.trials)} trials "
+                           f"failed, the first {study.trials[0].status}")
     best_cfg = {**cfg, "command": "run",
                 **{key: best.params[name] for name, key in _PARAM_KEYS.items()}}
     _write_cfg(best_cfg, os.path.join(out, "best.cfg"),

@@ -154,19 +154,16 @@ def iterate(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
     # locals for the hot loop; Python multiplies left to right, so
     # half_g*(...) rounds exactly as step_map's 0.5*G*(...) does
     half_g, m, x_b, sin, pi = 0.5 * p.G, p.M, p.x_b, math.sin, math.pi
+    o = memoryview(out)     # its items are Python floats
     i, width = 1, 1     # out[:i] is filled
-    window = []         # the iterates of the current window, stored at once
-    append = window.append
     try:
         while i <= n:
             start = i
-            window.clear()
             for i in range(start, min(start + width, n + 1)):
                 x = half_g * (1.0 + m * sin(pi * (x + x_b)))
-                append(x)
+                o[i] = x
                 if x == chk:
                     break
-            out[start:i + 1] = window
             i += 1
             if x == chk:
                 # x_(i-1) equals x_(start-1), so x_i, x_(i+1), ... repeat
@@ -600,9 +597,12 @@ def integrate_dde(p: OscillatorParams, history, duration: float, dt: float):
     V0 = float(history(0.0))
     if not (math.isfinite(V0) and np.all(np.isfinite(pre))):
         raise ConfigurationError("history must be finite on [-tau, 0]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = _backend.dde_euler(n_steps, dt, q, p.T_R, 0.5 * p.G_star * p.P_max,
-                               p.M, 1.0 / p.V_pi, p.x_b, pre, V0)
+    V = np.full(n_steps + 1, V0)
+    try:
+        _backend.dde_euler(V, pre, dt, q, p.T_R, 0.5 * p.G_star * p.P_max,
+                           p.M, 1.0 / p.V_pi, p.x_b)
+    except ValueError:   # math.sin(inf): the rest of V is not stepped
+        V[-1] = math.nan
     if not np.all(np.isfinite(V)):
         raise NumericsError("the DDE trace left the finite range; lower "
                             "G_star*P_max or raise V_pi")

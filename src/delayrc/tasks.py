@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -110,26 +109,26 @@ def narma10_recurrence(u) -> np.ndarray:
     """Tenth-order NARMA response to a given input sequence, zero history.
 
     Steps on Python floats, whose + and * round as numpy's float64 does
-    and overflow to inf and nan without a warning. u and y are held as C
-    doubles (array.array) and the sum reads the last ten outputs from a
-    short list: a stream-long list of float objects would stay in the
-    process's resident memory after the call.
+    and overflow to inf and nan without a warning, reading u and writing y
+    through memoryviews, whose items are Python floats. The sum reads the
+    last ten outputs from a short list, which is faster than reading them
+    back from y.
     """
-    u = array("d", np.asarray(u, dtype=float).tobytes())
-    n = len(u)
-    y = array("d", [0.0]) * n
-    # y(t), y(t-1), ..., back to y(t-9) or y(0)
-    last = []
-    for t in range(n - 1):
-        yt = y[t]
+    u = memoryview(np.asarray(u, dtype=float).ravel())
+    out = np.zeros(len(u))
+    y = memoryview(out)
+    # yt is y(t); last holds y(t), y(t-1), ..., back to y(t-9) or y(0)
+    yt, last = 0.0, []
+    for t in range(len(u) - 1):
         last.insert(0, yt)
         del last[10:]
         acc = 0.0
         for v in last:
             acc += v
         u9 = u[t - 9] if t >= 9 else 0.0
-        y[t + 1] = 0.3 * yt + 0.05 * yt * acc + 1.5 * u9 * u[t] + 0.1
-    return np.array(y)
+        yt = 0.3 * yt + 0.05 * yt * acc + 1.5 * u9 * u[t] + 0.1
+        y[t + 1] = yt
+    return out
 
 
 def gen_narma10(length: int, seed: int = 0) -> LabeledSeries:

@@ -155,3 +155,26 @@ def test_captured_recursions_replay_on_both_trees(tmp_path, monkeypatch):
         _forget_trees()
     assert section["bitwise"] is True and "out bitwise" in out.getvalue()
     assert differ["bitwise"] is False and "out DIFFER" in out.getvalue()
+
+
+def test_calls_compares_array_outputs_by_their_bits():
+    # an array out is compared by dtype, shape and bytes, not by ==, which
+    # is elementwise, takes -0.0 for 0.0 and never nan for nan
+    log = io.StringIO()
+    side = "pkg.__name__ == 'delayrc_parent'"
+    try:
+        orbit = ab.calls(ROOT, ROOT, "out = pkg.dynamics.iterate(0.1, 50, "
+                         "pkg.dynamics.OscillatorParams(G=1.49))",
+                         rounds=1, log=log)
+        nan = ab.calls(ROOT, ROOT, "out = (np.array([np.nan]), [1.5])",
+                       setup="import numpy as np", rounds=1, log=log)
+        zero = ab.calls(ROOT, ROOT,
+                        f"out = np.array([0.0 if {side} else -0.0])",
+                        setup="import numpy as np", rounds=1, log=log)
+        dtype = ab.calls(ROOT, ROOT,
+                         f"out = np.zeros(2, float if {side} else int)",
+                         setup="import numpy as np", rounds=1, log=log)
+    finally:
+        _forget_trees()
+    assert orbit["bitwise"] is True and nan["bitwise"] is True
+    assert zero["bitwise"] is False and dtype["bitwise"] is False

@@ -1,6 +1,7 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
 import fcntl
+import json
 import os
 import resource
 import subprocess
@@ -159,6 +160,32 @@ def test_best_config_is_runnable(run_cli):
         ["run", "--config", str(outdir / "best.cfg")], outdir="rerun")
     assert code == 0
     assert "nmse_test=" in out
+
+
+def test_optimize_with_no_successful_trial_exits_3(run_cli):
+    # every delay of this space rounds to d = 0, so every trial fails
+    code, out, err, outdir = run_cli(
+        ["optimize", "task=narma10", "task.length=200", "optimize.budget=3",
+         "space.tau_over_T=0.0,0.001"])
+    assert code == 3
+    assert err == ("error: no successful trial: 3 trials failed, the first "
+                   "failed:ConfigurationError: tau=0.04917361822357355 "
+                   "rounds to sample delay 0 < 1 on theta=1.0\n")
+    assert out == ""
+    assert not (outdir / "best.cfg").exists()
+
+
+def test_optimize_records_wall_times_only_when_asked(run_cli):
+    args = ["optimize", "optimize.budget=3", "optimize.n_startup=2"] + FAST_SS
+    walls = {}
+    for name, extra in (("on", ["optimize.record_timings=true"]),
+                        ("default", [])):
+        code, _, _, outdir = run_cli(args + extra, outdir=name)
+        assert code == 0
+        lines = (outdir / "study.jsonl").read_text().splitlines()[1:]
+        walls[name] = [json.loads(ln)["wall_time"] for ln in lines]
+    assert len(walls["on"]) == 3 and all(w > 0 for w in walls["on"])
+    assert walls["default"] == [0.0] * 3
 
 
 def test_optimize_resume_completes_budget(run_cli):

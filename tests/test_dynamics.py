@@ -912,7 +912,7 @@ def test_dde_prefill_matches_full_loop(monkeypatch, T_R, dt):
     euler = dynamics._backend.dde_euler
 
     def spy(*args):
-        seen.append(args[8].copy())
+        seen.append(args[1].copy())     # (V, pre, ...)
         return euler(*args)
     monkeypatch.setattr(dynamics._backend, "dde_euler", spy)
 
@@ -924,6 +924,70 @@ def test_dde_prefill_matches_full_loop(monkeypatch, T_R, dt):
     n = seen[0].size
     assert seen[0].tobytes() == full[:n].tobytes()
     assert n < full.size and not full[n:].any()
+
+
+def _numpy_scalar_dde(n_steps, dt, q, T_R, gs_pmax_half, M, inv_V_pi, x_b,
+                      pre, V0):
+    # the Euler loop as it once stepped, on numpy scalars with np.sin
+    V = np.empty(n_steps + 1)
+    V[0] = V0
+    for j in range(1, n_steps + 1):
+        if T_R > 0.0:
+            jj = (j - 1) - q
+        else:
+            jj = j - q
+        if jj < 0.0:
+            vp = pre[j]
+        else:
+            i0 = int(jj)
+            w = jj - i0
+            vp = V[i0] * (1.0 - w) + V[i0 + 1] * w if w > 0.0 else V[i0]
+        drive = gs_pmax_half * (1.0 + M * np.sin(np.pi * (vp * inv_V_pi + x_b)))
+        if T_R > 0.0:
+            V[j] = V[j - 1] + (dt / T_R) * (drive - V[j - 1])
+        else:
+            V[j] = drive
+    return V
+
+
+def _sine_history(t):
+    return 0.1 + 0.3 * math.sin(7.0 * t)
+
+
+@pytest.mark.parametrize("history", [lambda t: 0.1, _sine_history],
+                         ids=["constant", "sine"])
+@pytest.mark.parametrize("tau", [1.0, 1.0 / 3], ids=["q1000", "q333"])
+@pytest.mark.parametrize("T_R", [0.0, 0.01])
+def test_dde_matches_numpy_scalar_loop_bitwise(T_R, tau, history):
+    # the loop steps on Python floats with math.sin; at dt = 1e-3, tau/dt
+    # is 1000 or 333.33..., so the lookback lands on a step or between two
+    p = replace(_phys(1.49, T_R), tau=tau)
+    dt, duration = 1e-3, 20.0
+    _, V = integrate_dde(p, history, duration, dt)
+    pre = _prefill_full_loop(p, history, duration, dt)
+    ref = _numpy_scalar_dde(V.size - 1, dt, p.tau / dt, T_R,
+                            0.5 * p.G_star * p.P_max, p.M, 1.0 / p.V_pi,
+                            p.x_b, pre, float(history(0.0)))
+    assert V.tobytes() == ref.tobytes()
+
+
+@pytest.mark.skipif(not dynamics._backend._kernels.HAVE_NUMBA,
+                    reason="numba not installed")
+def test_dde_backends_agree_bitwise(monkeypatch):
+    traces = {}
+    try:
+        for backend in ("numba", "numpy"):
+            monkeypatch.setenv("DELAYRC_BACKEND", backend)
+            dynamics._backend.select_backend()
+            traces[backend] = [
+                integrate_dde(replace(_phys(1.49, T_R), tau=tau), history,
+                              20.0, 1e-3)[1].tobytes()
+                for T_R in (0.0, 0.01) for tau in (1.0, 1.0 / 3)
+                for history in (lambda t: 0.1, _sine_history)]
+    finally:
+        monkeypatch.undo()
+        dynamics._backend.select_backend()
+    assert traces["numba"] == traces["numpy"]
 
 
 def test_dde_history_buffer_holds_only_the_lookback_steps():

@@ -597,12 +597,15 @@ def test_backend_env_selection():
         _backend.select_backend()
 
 
-def test_backend_rejects_unknown_value():
+def test_backend_rejects_unknown_value(monkeypatch):
+    # the variable as the run was started with comes back, and its backend
     from delayrc import _backend
-    os.environ["DELAYRC_BACKEND"] = "cuda"
+    before = _backend.active_backend()
+    monkeypatch.setenv("DELAYRC_BACKEND", "cuda")
     try:
         with pytest.raises(ConfigurationError):
             _backend.select_backend()
     finally:
-        os.environ.pop("DELAYRC_BACKEND", None)
+        monkeypatch.undo()
         _backend.select_backend()
+    assert _backend.active_backend() == before
