@@ -17,19 +17,21 @@ BENCHMARK.json fixes, the parent's own spread (interquartile range over
 median), the pairs the change wins (ties count for neither), and whether
 the gain rule holds: the change wins at least 9 of 10 pairs and its median
 is better than the parent's by more than the parent's interquartile
-range. The workloads, metric names, directions and bounds, the command and
-the run length are read from the change's BENCHMARK.json, and every
-declared workload is run; perfbench/ and BENCHMARK.json are read, never
-written.
+range. A metric whose median is within its bound reads "unresolved",
+not "within bound", when the parent's own spread is wider than the bound
+and not every change run beats every parent run. The workloads, metric
+names, directions and bounds, the command and the run length are read
+from the change's BENCHMARK.json, and every declared workload is run;
+perfbench/ and BENCHMARK.json are read, never written.
 
 calls mode imports the package of both trees into one process, under two
 package names, and times one statement on each, alternating which side
 goes first in every round, so that host drift reaches both sides alike.
-The statement sees the package as `pkg`, the names the setup statement
-defines, which runs once per side, and load_calls and replay below. Where
-both sides' statements set `out`, the two are compared bit for bit after
-the last round (bits below); replay's digests compare the states bit for
-bit.
+The statement sees the package as `pkg`, every submodule imported, the
+names the setup statement defines, which runs once per side, and
+load_calls and replay below. Where both sides' statements set `out`, the
+two are compared bit for bit after the last round (bits below); replay's
+digests compare the states bit for bit.
 
 capture mode runs one CLI call of this checkout in this process, its
 artifacts written to a temporary directory, and saves the inputs of every
@@ -52,6 +54,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import pkgutil
 import statistics
 import subprocess
 import sys
@@ -93,7 +96,7 @@ def _quartiles(values):
 def summarize(pairs, metrics):
     """Per metric of BENCHMARK.json's end_to_end list: both sides' medians
     and quartiles, worsening against the bound, parent spread, wins and
-    the gain rule over the pairs of one workload."""
+    the gain rule and the status over the pairs of one workload."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
@@ -105,6 +108,12 @@ def summarize(pairs, metrics):
                  if med["parent"] else 0.0)
         wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0
                    for p in pairs.values())
+        spread = iqr / abs(med["parent"]) if med["parent"] else 0.0
+        # a bound inside the parent's own spread resolves nothing, unless
+        # every change run beats every parent run
+        resolved = (spread <= m["bound"]
+                    or min(sign * v for v in vals["change"])
+                    > max(sign * v for v in vals["parent"]))
         out[name] = {
             "parent_median": round(med["parent"], 4),
             "parent_quartiles": [round(v, 4) for v in quart["parent"]],
@@ -112,13 +121,12 @@ def summarize(pairs, metrics):
             "change_quartiles": [round(v, 4) for v in quart["change"]],
             "relative_worsening": round(worse, 4),
             "bound": m["bound"],
-            "parent_spread_rel": (round(iqr / abs(med["parent"]), 4)
-                                  if med["parent"] else 0.0),
+            "parent_spread_rel": round(spread, 4),
             "change_wins": f"{wins}/{len(pairs)}",
             "gain_rule": (10 * wins >= 9 * len(pairs)
                           and sign * (med["change"] - med["parent"]) > iqr),
-            "status": ("within bound" if worse <= m["bound"]
-                       else "worse than bound"),
+            "status": ("worse than bound" if worse > m["bound"]
+                       else "within bound" if resolved else "unresolved"),
         }
     return out
 
@@ -165,19 +173,26 @@ def perfbench(parent, change, pairs, runner=run_perfbench, log=sys.stderr):
                     "parent interquartile range over parent median; "
                     "gain_rule: the change wins at least 9/10 of the pairs "
                     "and its median beats the parent's by more than the "
-                    "parent's interquartile range",
+                    "parent's interquartile range; status: worse than "
+                    "bound past the bound, else unresolved where "
+                    "parent_spread_rel exceeds the bound and not every "
+                    "change run beats every parent run, else within bound",
         "workloads": result,
     }
 
 
 def import_tree(tree, name):
-    """The package src/delayrc of tree, imported as `name`."""
+    """The package src/delayrc of tree, imported as `name` with every
+    submodule but __main__, which would run the CLI."""
     pkg_dir = Path(tree) / "src" / "delayrc"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    for sub in pkgutil.iter_modules([str(pkg_dir)]):
+        if sub.name != "__main__":
+            importlib.import_module(f"{name}.{sub.name}")
     return module
 
 

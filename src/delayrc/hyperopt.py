@@ -36,6 +36,9 @@ logger = logging.getLogger("delayrc.hyperopt")
 DIMS = ("rho", "G", "Phi0", "tau_over_T", "lam")
 _LOG_DIMS = ("lam",)          # sampled and modeled in log10 space
 _LOW_OPEN = ("G", "tau_over_T")   # lower bound excluded
+# a study's cost grows as its budget squared: each suggestion reads all trials
+MAX_BUDGET = 10_000
+MAX_REPEATS = 1_000   # data seeds of a sweep
 
 
 @dataclass(frozen=True)
@@ -240,21 +243,22 @@ def run_study(task: str, template: dict | None = None,
               task_options: dict | None = None, on_open=None) -> Study:
     """Optimize the five tunables on a benchmark and persist the study.
 
-    template fixes the non-searched reservoir fields (k, beta, M, add_bias).
-    seeds: {"sampler", "data", "mask"}. Missing template and seed entries
-    come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
-    data seed is held fixed so the surrogate sees a noiseless objective.
-    The suggestion options are checked as tpe_suggest checks them, before
-    any trial runs. If path exists the study found there is continued up
-    to the requested budget (deterministically identical to an
-    uninterrupted run). While it runs, the study holds a lock on the
-    directory of path, and a second study on that directory raises
-    ConfigurationError instead of interleaving its appends. on_open, if
-    given, is called with no arguments once the lock is held and the
-    setup checked, before the first trial runs.
+    budget: 1 to MAX_BUDGET trials. template fixes the non-searched
+    reservoir fields (k, beta, M, add_bias). seeds: {"sampler", "data",
+    "mask"}. Missing template and seed entries come from
+    pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The data seed is
+    held fixed so the surrogate sees a noiseless objective. The suggestion
+    options are checked as tpe_suggest checks them, before any trial runs.
+    If path exists the study found there is continued up to the requested
+    budget (deterministically identical to an uninterrupted run). While it
+    runs, the study holds a lock on the directory of path, and a second
+    study on that directory raises ConfigurationError instead of
+    interleaving its appends. on_open, if given, is called with no
+    arguments once the lock is held and the setup checked, before the first
+    trial runs.
     """
-    if budget < 1:
-        raise ConfigurationError(f"budget must be >= 1, got {budget}")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ConfigurationError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
     if sampler not in ("tpe", "random"):
         raise ConfigurationError(f"sampler must be tpe or random, got {sampler!r}")
     _check_tpe_options(n_startup, gamma, n_candidates)
@@ -365,9 +369,10 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     Every grid value is configured before any series is built. Values
     whose configs share a sample delay d are collapsed: the first value
     for each d is kept, so the rows may be fewer than the grid values.
-    Statistics are over `repeats` data seeds (seeds["data"] + r). Each
-    seed's series is built once. At each d the seeds run in lockstep
-    (pipeline.evaluate_rows), in groups whose states fit _LOCKSTEP_BYTES.
+    Statistics are over `repeats` data seeds (seeds["data"] + r), 1 to
+    MAX_REPEATS. Each seed's series is built once. At each d the seeds run
+    in lockstep (pipeline.evaluate_rows), in groups whose states fit
+    _LOCKSTEP_BYTES.
     """
     grid = [float(v) for v in tau_over_T_grid]
     if not grid:
@@ -375,8 +380,8 @@ def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
     if not all(map(math.isfinite, grid)):
         raise ConfigurationError(
             f"tau_over_T grid values must be finite, got {grid}")
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ConfigurationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     t, o, data = pipeline.task_setup(task, template, task_options)
     kept = {}                          # d -> (first grid value, its config)

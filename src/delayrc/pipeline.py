@@ -1,8 +1,8 @@
-"""End-to-end evaluation: data generation, reservoir run, ridge training
-and scoring. Everything downstream (CLI, hyperparameter search, sweeps)
-funnels through evaluate_rows (evaluate_series is its one-row case), so
-mask, recursion, fit and score and their train/test bookkeeping live in
-exactly one place."""
+"""End-to-end evaluation: reservoir run, ridge training and scoring of
+the data that tasks builds and splits. Everything downstream (CLI,
+hyperparameter search, sweeps) funnels through evaluate_rows
+(evaluate_series is its one-row case), so mask, recursion, fit and score
+and their train/test bookkeeping live in exactly one place."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .tasks import LabeledSeries, Split, SplitPart
 
 __all__ = [
     "EvalResult", "evaluate_series", "evaluate_rows", "fit_and_score",
-    "split_from_tags", "make_eval",
+    "make_eval",
     "TASK_DEFAULTS", "TASK_IDS", "TEMPLATE_DEFAULTS", "SEED_DEFAULTS",
 ]
 
@@ -121,69 +121,6 @@ def fit_and_score(X, series: LabeledSeries, cfg: ReservoirConfig, lam: float,
         wer=wer, weights=w, y_hat=y_hat, series=series, split=split, cfg=cfg)
 
 
-def split_from_tags(series: LabeledSeries) -> Split:
-    """Split segments by the train/test tags recorded at encoding time."""
-    tags = series.meta.get("splits")
-    if not tags or not series.segments:
-        raise ConfigurationError("series carries no split tags")
-    n = series.n_steps
-    tr_mask = np.zeros(n, dtype=bool)
-    tr_segs, te_segs = [], []
-    for tag, seg in zip(tags, series.segments):
-        if tag == "train":
-            tr_mask[seg[0]:seg[1]] = True
-            tr_segs.append(seg)
-        else:
-            te_segs.append(seg)
-    if not tr_segs or not te_segs:
-        raise ConfigurationError("split tags put every sequence on one side")
-    return Split(SplitPart(steps=tr_mask, segments=tuple(tr_segs)),
-                 SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
-
-
-def _max_cycles(task: str, o: dict) -> int:
-    """The most input steps the task's options can give, known before any
-    data is built; 0 for a vowel file, whose size is known once read."""
-    if task == "sine_square":
-        return (o["n_waveforms"] * o["samples_per_period"][1]
-                * o["periods_per_waveform"])
-    if task == "narma10":
-        return o["length"]
-    if o["path"]:
-        return 0
-    return (o["n_per_class"] * tasks.N_VOWEL_SPEAKERS
-            * (tasks.SYNTHETIC_FRAMES[1] - 1) * tasks.N_VOWEL_CHANNELS)
-
-
-def _task_data(task: str, o: dict):
-    """data(seed) -> (series, split) for one benchmark and its options."""
-    if task == "sine_square":
-        def data(seed):
-            series = tasks.gen_sine_square(
-                o["n_waveforms"], o["samples_per_period"],
-                o["periods_per_waveform"], seed=seed)
-            return series, tasks.split_train_test(series, o["fraction"],
-                                                  seed=seed, unit="segment")
-        return data
-
-    if task == "narma10":
-        def data(seed):
-            series = tasks.gen_narma10(o["length"], seed=seed)
-            return series, tasks.split_train_test(series, o["fraction"],
-                                                  seed=seed, unit="step-block")
-        return data
-
-    if o["path"]:
-        samples = tasks.load_japanese_vowels(o["path"])
-    else:
-        samples = tasks.gen_synthetic_vowels(o["n_per_class"],
-                                             seed=o["synthetic_seed"])
-    series = tasks.encode_multiplexed(samples, tasks.N_VOWEL_SPEAKERS)
-    split = split_from_tags(series)
-    # the seed is ignored: the utterance set is fixed
-    return lambda seed: (series, split)
-
-
 def _last_seed_cached(data):
     """Wrap data(seed) to keep the (series, split) of the last seed asked
     for. A study holds one data seed, so it builds its series once; one
@@ -210,8 +147,8 @@ def task_setup(task: str, template: dict | None = None,
     o = {**TASK_DEFAULTS[task], **(options or {})}
     if o["washout"] < 0:
         raise ConfigurationError(f"washout must be >= 0, got {o['washout']}")
-    check_stream_samples(_max_cycles(task, o) * t["k"], f"task {task}")
-    return t, o, _last_seed_cached(_task_data(task, o))
+    check_stream_samples(tasks.max_cycles(task, o) * t["k"], f"task {task}")
+    return t, o, _last_seed_cached(tasks.task_data(task, o))
 
 
 def reservoir_config(t: dict, params: dict, mask_seed: int) -> ReservoirConfig:
@@ -228,9 +165,7 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
 
     params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
     template and options override TEMPLATE_DEFAULTS and the task's
-    TASK_DEFAULTS entry. Vowel data (real file or synthetic) is prepared
-    once at closure creation, not per call; other series are built on the
-    first call with a data seed and kept until a call with another seed.
+    TASK_DEFAULTS entry; the data is task_setup's.
     """
     t, o, data = task_setup(task, template, options)
 

@@ -17,7 +17,7 @@ __all__ = [
     "LabeledSeries", "SequenceSample", "Split", "SplitPart",
     "gen_sine_square", "gen_narma10", "narma10_recurrence",
     "load_japanese_vowels", "encode_multiplexed", "decode_multiplexed",
-    "gen_synthetic_vowels", "split_train_test",
+    "gen_synthetic_vowels", "split_from_tags", "split_train_test",
 ]
 
 # input draws gen_narma10 tries before it gives up on a diverging series
@@ -311,6 +311,17 @@ def encode_multiplexed(samples, class_count: int) -> LabeledSeries:
     return LabeledSeries(u=u, y=y, segments=tuple(segs), meta=meta)
 
 
+def split_from_tags(series: LabeledSeries) -> Split:
+    """Split segments by the train/test tags recorded at encoding time."""
+    tags = series.meta.get("splits")
+    if not tags or not series.segments:
+        raise ConfigurationError("series carries no split tags")
+    split = _segment_split(series, [tag == "train" for tag in tags])
+    if not split.train.segments or not split.test.segments:
+        raise ConfigurationError("split tags put every sequence on one side")
+    return split
+
+
 def decode_multiplexed(series: LabeledSeries) -> list[np.ndarray]:
     """Inverse of encode_multiplexed (frame recovery, labels via segments)."""
     n_ch = series.meta["n_channels"]
@@ -356,28 +367,76 @@ def split_train_test(data: LabeledSeries, fraction: float, seed: int = 0,
     if unit == "segment":
         if not data.segments:
             raise ConfigurationError("segment split requires segment metadata")
-        by_class: dict[int, list[int]] = {}
-        for idx, (_, _, c) in enumerate(data.segments):
-            by_class.setdefault(c, []).append(idx)
-        tr_idx = []
-        for c in sorted(by_class):
-            idx = np.array(by_class[c])
+        labels = np.array([c for _, _, c in data.segments])
+        train = np.zeros(labels.size, dtype=bool)
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
             take = int(round(fraction * idx.size))
-            tr_idx.extend(idx[rng.permutation(idx.size)[:take]])
-        tr_set = set(tr_idx)
-        if not tr_set or len(tr_set) == len(data.segments):
+            train[idx[rng.permutation(idx.size)[:take]]] = True
+        if not train.any() or train.all():
             raise ConfigurationError(
                 f"fraction {fraction} yields an empty side over "
                 f"{len(data.segments)} segments")
-        tr_mask = np.zeros(n, dtype=bool)
-        tr_segs, te_segs = [], []
-        for idx, (a, b, c) in enumerate(data.segments):
-            if idx in tr_set:
-                tr_mask[a:b] = True
-                tr_segs.append((a, b, c))
-            else:
-                te_segs.append((a, b, c))
-        return Split(SplitPart(steps=tr_mask, segments=tuple(tr_segs)),
-                     SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
+        return _segment_split(data, train)
     raise ConfigurationError(f"unit must be step-block or segment, got {unit!r}")
 
+
+def _segment_split(data: LabeledSeries, train) -> Split:
+    """Split the segments of data by the per-segment train flags."""
+    tr_mask = np.zeros(data.n_steps, dtype=bool)
+    tr_segs, te_segs = [], []
+    for seg, on_train in zip(data.segments, train):
+        if on_train:
+            tr_mask[seg[0]:seg[1]] = True
+            tr_segs.append(seg)
+        else:
+            te_segs.append(seg)
+    return Split(SplitPart(steps=tr_mask, segments=tuple(tr_segs)),
+                 SplitPart(steps=~tr_mask, segments=tuple(te_segs)))
+
+
+# --------------------------------------------------------- benchmark data
+
+def max_cycles(task: str, o: dict) -> int:
+    """The most input steps of benchmark task with the options o, known
+    before any data is built; 0 for a vowel file, known once read."""
+    if task == "sine_square":
+        return (o["n_waveforms"] * o["samples_per_period"][1]
+                * o["periods_per_waveform"])
+    if task == "narma10":
+        return o["length"]
+    if o["path"]:
+        return 0
+    return (o["n_per_class"] * N_VOWEL_SPEAKERS
+            * (SYNTHETIC_FRAMES[1] - 1) * N_VOWEL_CHANNELS)
+
+
+def task_data(task: str, o: dict):
+    """data(seed) -> (series, split) for benchmark task and its options o.
+    A waveform series splits by whole segments, a NARMA10 series by step
+    blocks, both seeded by the data seed. The vowel utterances are read or
+    generated here, split by their tags, and the seed is ignored."""
+    if task == "sine_square":
+        def data(seed):
+            series = gen_sine_square(
+                o["n_waveforms"], o["samples_per_period"],
+                o["periods_per_waveform"], seed=seed)
+            return series, split_train_test(series, o["fraction"], seed=seed,
+                                            unit="segment")
+        return data
+
+    if task == "narma10":
+        def data(seed):
+            series = gen_narma10(o["length"], seed=seed)
+            return series, split_train_test(series, o["fraction"], seed=seed,
+                                            unit="step-block")
+        return data
+
+    if o["path"]:
+        samples = load_japanese_vowels(o["path"])
+    else:
+        samples = gen_synthetic_vowels(o["n_per_class"],
+                                       seed=o["synthetic_seed"])
+    series = encode_multiplexed(samples, N_VOWEL_SPEAKERS)
+    split = split_from_tags(series)
+    return lambda seed: (series, split)

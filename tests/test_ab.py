@@ -100,6 +100,26 @@ def test_gain_rule_needs_nine_tenths_and_the_parent_spread():
     assert not ab.summarize(pairs, metric)["x"]["gain_rule"]
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    metric = [{"name": "x", "better": "higher", "bound": 0.25}]
+
+    def status(parent, change):
+        pairs = {str(i): {"parent": {"x": p}, "change": {"x": c}}
+                 for i, (p, c) in enumerate(zip(parent, change), 1)}
+        return ab.summarize(pairs, metric)["x"]["status"]
+    # parent quartiles 8.5 and 11.5 about a median of 10: a spread of 30%
+    wide = [6, 8, 8, 10, 10, 10, 10, 12, 12, 14]
+    assert status(wide, wide) == "unresolved"
+    assert status(wide, [w + 1 for w in wide]) == "unresolved"
+    # every change run beats every parent run
+    assert status(wide, [15] * 10) == "within bound"
+    # a median past the bound stays worse than it
+    assert status(wide, [5] * 10) == "worse than bound"
+    # within the spread the bound resolves
+    narrow = [9, 10, 10, 10, 10, 10, 10, 10, 10, 11]
+    assert status(narrow, [v - 1 for v in narrow]) == "within bound"
+
+
 def _forget_trees():
     for name in [n for n in sys.modules
                  if n.split(".")[0] in ("delayrc_parent", "delayrc_change")]:
@@ -121,6 +141,20 @@ def test_calls_imports_both_trees_as_two_packages():
     # the statement sets no `out`, so there are no bits to compare
     assert section["bitwise"] is None
     assert "3 alternated rounds" in out.getvalue()
+
+
+def test_calls_sees_every_submodule_of_both_trees(tmp_path):
+    # the package's __init__ does not import cli; the statement reaches it
+    # all the same, and the CLI runs on both trees
+    try:
+        section = ab.calls(
+            ROOT, ROOT, "out = pkg.cli.main(['dynamics', 'regime', out_arg])",
+            setup=f"out_arg = 'out=' + {str(tmp_path)!r}", rounds=1,
+            log=io.StringIO())
+    finally:
+        _forget_trees()
+    assert section["bitwise"] is True
+    assert (tmp_path / "regime.csv").exists()
 
 
 def test_captured_recursions_replay_on_both_trees(tmp_path, monkeypatch):

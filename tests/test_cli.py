@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayrc import cli
+from delayrc import cli, pipeline
 
 from conftest import deadline, hash_tree, read_csv_rows
 
@@ -323,6 +323,32 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
         assert not outdir.exists()
     else:
         assert sorted(os.listdir(outdir)) == ["effective.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-delay", "sweep.grid=0.5", "sweep.repeats=1000000"],
+    ["optimize", "optimize.budget=1000000000"],
+])
+def test_repeats_and_budget_are_bounded(run_cli, monkeypatch, argv):
+    # either loop would run past any deadline if taken as asked; each is
+    # refused before the task is set up
+    def refuse(*args, **kwargs):
+        raise AssertionError("set up the task past the bound")
+    monkeypatch.setattr(pipeline, "task_setup", refuse)
+    code, _, err, outdir = run_cli(argv + FAST_SS)
+    assert code == 2
+    key = argv[-1].partition("=")[0].split(".")[1]
+    assert err.startswith(f"error: {key} must be in [1, ")
+    if argv[0] == "optimize":
+        assert not outdir.exists()
+    else:
+        assert sorted(os.listdir(outdir)) == ["effective.cfg"]
+
+
+@pytest.mark.parametrize("task", pipeline.TASK_IDS)
+def test_schema_defaults_give_the_task_defaults(task):
+    cfg = cli._resolve("run", None, [f"task={task}"])
+    assert cli._task_options(cfg) == pipeline.TASK_DEFAULTS[task]
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):

@@ -329,6 +329,8 @@ def test_run_study_rejects_mismatched_resume(tmp_path):
 def test_run_study_validation():
     with pytest.raises(ConfigurationError):
         run_study(task="sine_square", budget=0)
+    with pytest.raises(ConfigurationError, match="must be in"):
+        run_study(task="sine_square", budget=hyperopt.MAX_BUDGET + 1)
     with pytest.raises(ConfigurationError):
         run_study(task="sine_square", budget=1, sampler="grid")
     with pytest.raises(ConfigurationError):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from delayrc.exceptions import ConfigurationError
-from delayrc.pipeline import evaluate_series, make_eval, split_from_tags
+from delayrc.pipeline import evaluate_series, make_eval
 from delayrc.reservoir import ReservoirConfig
 from delayrc.tasks import (
     encode_multiplexed,
     gen_narma10,
     gen_synthetic_vowels,
+    split_from_tags,
     split_train_test,
 )
 
