@@ -243,19 +243,18 @@ def run_study(task: str, template: dict | None = None,
               task_options: dict | None = None, on_open=None) -> Study:
     """Optimize the five tunables on a benchmark and persist the study.
 
-    budget: 1 to MAX_BUDGET trials. template fixes the non-searched
-    reservoir fields (k, beta, M, add_bias). seeds: {"sampler", "data",
-    "mask"}. Missing template and seed entries come from
-    pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The data seed is
-    held fixed so the surrogate sees a noiseless objective. The suggestion
-    options are checked as tpe_suggest checks them, before any trial runs.
-    If path exists the study found there is continued up to the requested
-    budget (deterministically identical to an uninterrupted run). While it
-    runs, the study holds a lock on the directory of path, and a second
-    study on that directory raises ConfigurationError instead of
-    interleaving its appends. on_open, if given, is called with no
-    arguments once the lock is held and the setup checked, before the first
-    trial runs.
+    template fixes the non-searched reservoir fields (k, beta, M, add_bias).
+    seeds: {"sampler", "data", "mask"}. Missing template and seed entries
+    come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
+    data seed is held fixed so the surrogate sees a noiseless objective.
+    The suggestion options are checked as tpe_suggest checks them, before
+    any trial runs. If path exists the study found there is continued up
+    to the requested budget (deterministically identical to an
+    uninterrupted run), 1 to MAX_BUDGET trials. While it runs, the study
+    holds a lock on the directory of path, and a second study on that
+    directory raises ConfigurationError instead of interleaving its
+    appends. on_open, if given, is called with no arguments once the lock
+    is held and the setup checked, before the first trial runs.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigurationError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")

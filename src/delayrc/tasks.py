@@ -1,6 +1,7 @@
 """Benchmark data: waveform classification, tenth-order NARMA regression,
 and 9-speaker vowel sequence classification (file ingestion plus a
-synthetic stand-in), with seeded train/test splitting."""
+synthetic stand-in), with seeded train/test splitting. task_data and
+max_cycles give each benchmark's data function and its size bound."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ __all__ = [
     "gen_sine_square", "gen_narma10", "narma10_recurrence",
     "load_japanese_vowels", "encode_multiplexed", "decode_multiplexed",
     "gen_synthetic_vowels", "split_from_tags", "split_train_test",
+    "task_data", "max_cycles",
 ]
 
 # input draws gen_narma10 tries before it gives up on a diverging series
