@@ -203,6 +203,11 @@ def cobweb(x0: float, n: int, p: OscillatorParams) -> np.ndarray:
 
 
 _GRID_CELLS = 4096
+# the most cells one period-point search brackets. Bisecting and
+# classifying them peaks at about 500 bytes a cell: a 3000-step sweep of the
+# default G range at N_max=16 brackets 945,760 cells and peaks at 521 MB
+# RSS (2-core x86 host); the default sweep brackets 3,848
+_MAX_PERIOD_CELLS = 1_000_000
 _BISECT_TOL = 1e-12
 _PERIOD_TOL = 1e-8
 
@@ -339,7 +344,8 @@ def _period_points(pairs) -> list[list[FixedPoint]]:
     each distinct p is mapped once, up to the largest N asked of it, and
     bracketed for all its N in one pass; the roots of every pair are then
     bisected together by _bisect_all, and the distinct roots of every pair
-    classified together by _classify_all."""
+    classified together by _classify_all. More than _MAX_PERIOD_CELLS
+    bracketed cells raise ConfigurationError before any is bisected."""
     hg, m, x_b, N = (np.array(v) for v in zip(
         *((0.5 * p.G, p.M, p.x_b, N) for p, N in pairs)))
     # the pairs of each p; parameters that compare equal differ at most in
@@ -347,11 +353,17 @@ def _period_points(pairs) -> list[list[FixedPoint]]:
     groups = {}
     for i, (p, _) in enumerate(pairs):
         groups.setdefault(p, []).append(i)
-    cells = []     # (pair, a, b, fa) of each p's brackets
+    cells, n_cells = [], 0     # (pair, a, b, fa) of each p's brackets
     for p, members in groups.items():
         members = np.array(members)
         ys = _image_stack(p, N[members].max())
         row, a, b, fa = _root_brackets(ys[0], ys[N[members]] - ys[0])
+        n_cells += row.size
+        if n_cells > _MAX_PERIOD_CELLS:
+            raise ConfigurationError(
+                f"the period-point search brackets more than "
+                f"{_MAX_PERIOD_CELLS:,} cells; lower dynamics.steps or "
+                f"dynamics.N_max")
         cells.append((members[row], a, b, fa))
     del ys   # the last stack need not live through the bisection
     pair, a, b, fa = (np.concatenate(c) for c in zip(*cells))

@@ -39,6 +39,10 @@ _LOW_OPEN = ("G", "tau_over_T")   # lower bound excluded
 # a study's cost grows as its budget squared: each suggestion reads all trials
 MAX_BUDGET = 10_000
 MAX_REPEATS = 1_000   # data seeds of a sweep
+# a suggestion's density temporaries hold (trials in the good or bad set)
+# x n_candidates doubles: the bad set of a MAX_BUDGET study at the default
+# gamma takes 60 MB at this bound (80 MB as gamma nears 0)
+MAX_CANDIDATES = 1_000
 
 
 @dataclass(frozen=True)
@@ -149,32 +153,32 @@ def _check_tpe_options(n_startup, gamma, n_candidates):
     """Refuse tpe_suggest options it cannot draw with."""
     if n_startup < 1:
         raise ConfigurationError(f"n_startup must be >= 1, got {n_startup}")
-    if n_candidates < 1:
+    if not 1 <= n_candidates <= MAX_CANDIDATES:
         raise ConfigurationError(
-            f"n_candidates must be >= 1, got {n_candidates}")
+            f"n_candidates must be in [1, {MAX_CANDIDATES}], got {n_candidates}")
     if not 0 < gamma <= 1:   # also false for nan
         raise ConfigurationError(f"gamma must be in (0, 1], got {gamma!r}")
 
 
-def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
-                n_candidates: int = 24, rng=None, n_startup: int = 20) -> dict:
-    """Parzen-density suggestion: split past trials at the gamma loss
-    quantile, model each parameter with Gaussian kernel densities over the
-    good and bad sets, and return the candidate with the best density ratio.
+def tpe_suggest(study: Study, gamma: float = 0.25, n_candidates: int = 24,
+                rng=None, n_startup: int = 20) -> dict:
+    """Parzen-density suggestion in the space of study: split its past
+    trials at the gamma loss quantile, model each parameter with Gaussian
+    kernel densities over the good and bad sets, and return the candidate
+    with the best density ratio.
 
     Falls back to a uniform draw while fewer than n_startup trials exist or
     when the history is degenerate (all losses identical).
     """
     _check_tpe_options(n_startup, gamma, n_candidates)
     rng = np.random.default_rng() if rng is None else rng
-    trials = history.trials if isinstance(history, Study) else list(history)
-    ok = [t for t in trials if t.ok and t.loss is not None]
+    ok = [t for t in study.trials if t.ok and t.loss is not None]
     if len(ok) < n_startup:
-        return space.sample(rng)
+        return study.space.sample(rng)
     losses = np.array([t.loss for t in ok])
     if np.all(losses == losses[0]):
         logger.debug("degenerate history (all losses equal), uniform draw")
-        return space.sample(rng)
+        return study.space.sample(rng)
     n_good = max(2, math.ceil(gamma * len(ok)))
     order = np.argsort(losses, kind="stable")
     good = [ok[i] for i in order[:n_good]]
@@ -183,7 +187,7 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     cand = np.empty((n_candidates, len(DIMS)))
     score = np.zeros(n_candidates)
     for j, name in enumerate(DIMS):
-        lo, hi = getattr(space, name)
+        lo, hi = getattr(study.space, name)
         if name in _LOG_DIMS:
             lo, hi = math.log10(lo), math.log10(hi)
         g = _to_model_space(name, np.array([t.params[name] for t in good]))
@@ -205,29 +209,33 @@ def tpe_suggest(history, space: SearchSpace, gamma: float = 0.25,
     params = {}
     for j, name in enumerate(DIMS):
         v = 10.0 ** best[j] if name in _LOG_DIMS else float(best[j])
-        lo, hi = getattr(space, name)
+        lo, hi = getattr(study.space, name)
         if name in _LOW_OPEN and v <= lo:
             v = lo + 1e-12 * (hi - lo)
         params[name] = float(min(max(v, lo), hi))
     return params
 
 
-def _suggest(study: Study, sampler, trial_id, tpe_options):
+def _suggest(study: Study, trial_id):
+    """The params of trial trial_id, drawn by the sampler its header
+    (study.objective) names, with the options it holds."""
     rng = np.random.default_rng([study.sampler_seed, trial_id])
-    if sampler == "random":
+    head = study.objective
+    if head["sampler"] == "random":
         return study.space.sample(rng)
-    return tpe_suggest(study, study.space, rng=rng, **tpe_options)
+    return tpe_suggest(study, gamma=head["gamma"], rng=rng,
+                       n_candidates=head["n_candidates"],
+                       n_startup=head["n_startup"])
 
 
-def _search(study: Study, objective, budget: int, sampler: str,
-            record_timing: bool = False, path=None, **tpe_options):
+def _search(study: Study, objective, budget: int,
+            record_timing: bool = False, path=None):
     """Run trials on objective(params) -> loss until the study holds
     budget trials, appending each to path if given. Trials run one at a
     time, and trial i draws from trials 0..i-1, so a resumed study draws
-    as an uninterrupted run would. tpe_options (n_startup, gamma,
-    n_candidates) go to tpe_suggest."""
+    as an uninterrupted run would."""
     for i in range(len(study.trials), budget):
-        params = _suggest(study, sampler, i, tpe_options)
+        params = _suggest(study, i)
         t = _run_objective(objective, params, i, i, record_timing)
         study.trials.append(t)
         if path is not None:
@@ -247,14 +255,20 @@ def run_study(task: str, template: dict | None = None,
     seeds: {"sampler", "data", "mask"}. Missing template and seed entries
     come from pipeline.TEMPLATE_DEFAULTS and pipeline.SEED_DEFAULTS. The
     data seed is held fixed so the surrogate sees a noiseless objective.
-    The suggestion options are checked as tpe_suggest checks them, before
-    any trial runs. If path exists the study found there is continued up
-    to the requested budget (deterministically identical to an
-    uninterrupted run), 1 to MAX_BUDGET trials. While it runs, the study
-    holds a lock on the directory of path, and a second study on that
-    directory raises ConfigurationError instead of interleaving its
-    appends. on_open, if given, is called with no arguments once the lock
-    is held and the setup checked, before the first trial runs.
+    The sampler and its options go into the study's header, from which
+    the trials read them; they are checked as tpe_suggest checks them,
+    before any trial runs. So is the reservoir of the template at the
+    space's upper bounds: a study in which it fails to build, or rounds
+    its delay below one sample, could only fail every trial. If path
+    exists the study found there is continued up to the requested budget
+    (deterministically identical to an uninterrupted run), 1 to
+    MAX_BUDGET trials. The study is written to path once, whole, when it
+    opens, so a file torn by a crash is mended before any append. While
+    it runs, the study holds a lock on the directory of path, and a
+    second study on that directory raises ConfigurationError instead of
+    interleaving its appends. on_open, if given, is called with no
+    arguments once the lock is held and the setup checked, before the
+    first trial runs.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigurationError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
@@ -264,6 +278,13 @@ def run_study(task: str, template: dict | None = None,
     space = space or SearchSpace()
     seeds = {**pipeline.SEED_DEFAULTS, **(seeds or {})}
     template = {**pipeline.TEMPLATE_DEFAULTS, **(template or {})}
+    top = pipeline.reservoir_config(
+        template, {name: getattr(space, name)[1] for name in DIMS},
+        seeds["mask"])
+    if top.sample_delay < 1:
+        raise ConfigurationError(
+            f"tau_over_T up to {space.tau_over_T[1]!r} rounds to sample "
+            f"delay {top.sample_delay} < 1 at k={top.k}: every trial would fail")
     eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
 
     descriptor = {"task": task, "template": template, "seeds": seeds,
@@ -278,20 +299,16 @@ def run_study(task: str, template: dict | None = None,
             if study.objective != descriptor or study.space != space:
                 raise ConfigurationError(
                     f"existing study at {path} was run with a different setup")
-            if _torn(path):
-                # load_study dropped the torn line; rewrite before appending
-                save_study(study, path)
         else:
             study = Study(space=space, objective=descriptor,
                           sampler_seed=seeds["sampler"])
-            if path is not None:
-                save_study(study, path)
+        if path is not None:
+            save_study(study, path)
         if on_open is not None:
             on_open()
         return _search(
             study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
-            budget, sampler, record_timing=record_timing, path=path,
-            n_startup=n_startup, gamma=gamma, n_candidates=n_candidates)
+            budget, record_timing=record_timing, path=path)
 
 
 @contextlib.contextmanager
@@ -439,13 +456,6 @@ def save_study(study: Study, path):
 def _append_trial(path, t: Trial):
     with open(path, "a") as fh:
         fh.write(_json(_trial_record(t)) + "\n")
-
-
-def _torn(path) -> bool:
-    """True when the file's last line lacks its newline: an append was cut
-    short."""
-    with open(path, "rb") as fh:
-        return not fh.read().endswith(b"\n")
 
 
 def load_study(path) -> Study:

@@ -1,6 +1,7 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
 import fcntl
+import inspect
 import json
 import os
 import resource
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayrc import cli, pipeline
+from delayrc import cli, dynamics, hyperopt, pipeline
 
 from conftest import deadline, hash_tree, read_csv_rows
 
@@ -163,14 +164,15 @@ def test_best_config_is_runnable(run_cli):
 
 
 def test_optimize_with_no_successful_trial_exits_3(run_cli):
-    # every delay of this space rounds to d = 0, so every trial fails
+    # every gain of this space drives the states past the float range, so
+    # every trial fails
     code, out, err, outdir = run_cli(
         ["optimize", "task=narma10", "task.length=200", "optimize.budget=3",
-         "space.tau_over_T=0.0,0.001"])
+         "space.G=1e308,1.7e308"])
     assert code == 3
     assert err == ("error: no successful trial: 3 trials failed, the first "
-                   "failed:ConfigurationError: tau=0.04917361822357355 "
-                   "rounds to sample delay 0 < 1 on theta=1.0\n")
+                   "failed:NumericsError: reservoir states left the finite "
+                   "range; lower G, beta or rho\n")
     assert out == ""
     assert not (outdir / "best.cfg").exists()
 
@@ -328,6 +330,8 @@ def test_stream_size_is_bounded(run_cli, no_allocation, command, argv):
 @pytest.mark.parametrize("argv", [
     ["sweep-delay", "sweep.grid=0.5", "sweep.repeats=1000000"],
     ["optimize", "optimize.budget=1000000000"],
+    # the suggestion's density temporaries would take 37 GiB
+    ["optimize", "optimize.budget=21", "optimize.n_candidates=1000000000"],
 ])
 def test_repeats_and_budget_are_bounded(run_cli, monkeypatch, argv):
     # either loop would run past any deadline if taken as asked; each is
@@ -349,6 +353,19 @@ def test_repeats_and_budget_are_bounded(run_cli, monkeypatch, argv):
 def test_schema_defaults_give_the_task_defaults(task):
     cfg = cli._resolve("run", None, [f"task={task}"])
     assert cli._task_options(cfg) == pipeline.TASK_DEFAULTS[task]
+
+
+@pytest.mark.parametrize("key, fn, name", [
+    *((f"optimize.{name}", hyperopt.run_study, name)
+      for name in ("sampler", "n_startup", "gamma", "n_candidates")),
+    *((f"optimize.{name}", hyperopt.tpe_suggest, name)
+      for name in ("n_startup", "gamma", "n_candidates")),
+    ("sweep.repeats", hyperopt.resonance_sweep, "repeats"),
+    ("dynamics.N_max", dynamics.bifurcation_sweep, "N_max"),
+])
+def test_schema_defaults_are_the_function_defaults(key, fn, name):
+    default = inspect.signature(fn).parameters[name].default
+    assert cli._SCHEMA[key][1] == default
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):
@@ -516,6 +533,41 @@ def test_sweep_grid_size_is_bounded(tmp_path):
     assert code == 2, err
     assert err.startswith("error: ") and "more than" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [
+    "reservoir.k=0", "reservoir.M=2", "reservoir.beta=nan",
+    "space.G=-1,-0.5", "space.tau_over_T=0,0.001",
+])
+def test_optimize_refuses_a_study_whose_every_trial_fails(run_cli,
+                                                          monkeypatch,
+                                                          override):
+    # the template with the space's upper bounds builds no reservoir, or one
+    # whose delay rounds below one sample; refused before the task is set up
+    def refuse(*args, **kwargs):
+        raise AssertionError("set up the task of a study that cannot run")
+    monkeypatch.setattr(pipeline, "task_setup", refuse)
+    code, _, err, outdir = run_cli(["optimize", "optimize.budget=3",
+                                    "optimize.n_startup=2"] + FAST_SS
+                                   + [override])
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_period_point_search_is_bounded(tmp_path):
+    # 20000 axis values with N up to 16 bracket about 6.3 million cells;
+    # searched as asked, they end in MemoryError under this limit
+    code, err = run_fresh(tmp_path, ["dynamics", "bifurcation",
+                                     "dynamics.steps=20000",
+                                     "dynamics.N_max=16"],
+                          preexec_fn=_limit_address_space)
+    assert code == 2, err
+    assert err.startswith("error: ") and "more than" in err
+    assert "dynamics.steps" in err and "dynamics.N_max" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bifurcation.csv").exists()
 
 
 def test_optimize_refuses_a_locked_study(run_cli):

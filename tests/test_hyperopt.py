@@ -33,10 +33,16 @@ def quad_objective(params):
 
 
 def search(objective, space, n_trials, seed=0, sampler="random"):
-    # the study driver behind run_study, on a plain objective
-    study = Study(space=space, objective={"kind": "callable"},
-                  sampler_seed=seed)
-    return hyperopt._search(study, objective, n_trials, sampler)
+    # the study driver behind run_study, on a plain objective; the sampler
+    # and its options are read from the study's header
+    study = Study(space=space, sampler_seed=seed, objective={
+        "sampler": sampler, "n_startup": 20, "gamma": 0.25,
+        "n_candidates": 24})
+    return hyperopt._search(study, objective, n_trials)
+
+
+def history(space, trials):
+    return Study(space=space, objective={}, sampler_seed=0, trials=trials)
 
 
 # ------------------------------------------------------------------ space
@@ -108,7 +114,7 @@ def test_tpe_falls_back_to_uniform_on_short_history():
     hist = [Trial(i, space.sample(np.random.default_rng(i)), float(i), i)
             for i in range(3)]
     rng = np.random.default_rng(0)
-    p = tpe_suggest(hist, space, rng=rng)
+    p = tpe_suggest(history(space, hist), rng=rng)
     assert space.contains(p)
     # the draw must be the plain uniform sample for that rng state
     assert p == space.sample(np.random.default_rng(0))
@@ -121,7 +127,7 @@ def test_tpe_suggestions_concentrate_near_good_region():
     for i in range(40):
         p = space.sample(rng)
         hist.append(Trial(i, p, quad_objective(p), i))
-    picks = [tpe_suggest(hist, space, rng=np.random.default_rng(s))
+    picks = [tpe_suggest(history(space, hist), rng=np.random.default_rng(s))
              for s in range(30)]
     rho = np.array([p["rho"] for p in picks])
     base = np.array([t.params["rho"] for t in hist])
@@ -269,6 +275,27 @@ def test_run_study_resumes_torn_file(tmp_path):
     assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
 
+def test_run_study_writes_its_file_once_when_it_opens(tmp_path,
+                                                     monkeypatch):
+    path = tmp_path / "study.jsonl"
+    kw = dict(task="sine_square", sampler="random",
+              task_options={"n_waveforms": 4, "periods_per_waveform": 8,
+                            "washout": 2})
+    saved = []
+    real = hyperopt.save_study
+
+    def counting(study, p):
+        saved.append(len(study.trials))
+        return real(study, p)
+    monkeypatch.setattr(hyperopt, "save_study", counting)
+    run_study(path=path, budget=2, **kw)
+    whole = path.read_bytes()
+    run_study(path=path, budget=2, **kw)   # intact, nothing to run
+    assert path.read_bytes() == whole
+    run_study(path=path, budget=3, **kw)
+    assert saved == [0, 2, 2]
+
+
 def _locked_elsewhere(folder):
     """True if another open file description holds the lock on folder."""
     fd = os.open(folder, os.O_RDONLY)
@@ -356,11 +383,11 @@ def test_run_study_refuses_bad_tpe_options_before_any_trial(tmp_path,
 def test_tpe_suggest_refuses_bad_options(option):
     # four trials reach the density model at n_startup=2; n_startup=0 asks
     # for it on an empty history
-    history = ([] if "n_startup" in option
-               else search(quad_objective, SearchSpace(), 4).trials)
+    trials = ([] if "n_startup" in option
+              else search(quad_objective, SearchSpace(), 4).trials)
     with pytest.raises(ConfigurationError, match=next(iter(option))):
-        tpe_suggest(history, SearchSpace(), rng=np.random.default_rng(0),
-                    **{"n_startup": 2, **option})
+        tpe_suggest(history(SearchSpace(), trials),
+                    rng=np.random.default_rng(0), **{"n_startup": 2, **option})
 
 
 # ------------------------------------------------------------ delay sweep
