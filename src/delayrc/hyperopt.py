@@ -259,7 +259,11 @@ def run_study(task: str, template: dict | None = None,
     the trials read them; they are checked as tpe_suggest checks them,
     before any trial runs. So is the reservoir of the template at the
     space's upper bounds: a study in which it fails to build, or rounds
-    its delay below one sample, could only fail every trial. If path
+    its delay below one sample, could only fail every trial. So could one
+    whose shortest delay is longer than the stream, or whose washout
+    leaves one side of the split no scoring step: both are checked on the
+    study's data, built once through the data function the trials use, so
+    trial 0 reuses it. All of these are refused before the lock. If path
     exists the study found there is continued up to the requested budget
     (deterministically identical to an uninterrupted run), 1 to
     MAX_BUDGET trials. The study is written to path once, whole, when it
@@ -286,6 +290,17 @@ def run_study(task: str, template: dict | None = None,
             f"tau_over_T up to {space.tau_over_T[1]!r} rounds to sample "
             f"delay {top.sample_delay} < 1 at k={top.k}: every trial would fail")
     eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
+    series, split = eval_fn.data(seeds["data"])
+    # trial delays round from tau_over_T * k samples (theta = 1), none below
+    # the lower bound's; that bound may be 0, which builds no config
+    shortest = round(space.tau_over_T[0] * top.k)
+    if shortest > series.n_steps * top.k:
+        raise ConfigurationError(
+            f"tau_over_T from {space.tau_over_T[0]!r} gives sample delays "
+            f"of {shortest} or more, longer than the stream "
+            f"({series.n_steps} cycles of k={top.k} samples): every trial "
+            f"would fail")
+    pipeline.scoring_masks(series, split, eval_fn.washout)
 
     descriptor = {"task": task, "template": template, "seeds": seeds,
                   "sampler": sampler, "n_startup": n_startup, "gamma": gamma,

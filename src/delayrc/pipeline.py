@@ -7,7 +7,7 @@ and their train/test bookkeeping live in exactly one place."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .exceptions import ConfigurationError
 from .readout import classify_sequences, nmse, nrmse, predict, train_ridge
 from .reservoir import (ReservoirConfig, check_stream_samples, make_input_mask,
                         run_reservoir_rows)
-from .tasks import LabeledSeries, Split, SplitPart
+from .tasks import LabeledSeries, Split
 
 __all__ = [
     "EvalResult", "evaluate_series", "evaluate_rows", "fit_and_score",
@@ -53,21 +53,26 @@ class EvalResult:
     cfg: ReservoirConfig
 
 
-def _scoring_mask(side: SplitPart, series: LabeledSeries, washout: int):
-    """Drop the first `washout` steps of every segment (or of every
-    contiguous block when there are no segments): those steps still carry
-    state from the previous span and have ambiguous targets."""
-    m = side.steps.copy()
-    if washout <= 0:
-        return m
-    if series.segments:
-        for a, b, _ in series.segments:
-            m[a:min(a + washout, b)] = False
-    else:
-        starts = np.flatnonzero(m & ~np.concatenate(([False], m[:-1])))
-        for s in starts:
-            m[s:s + washout] = False
-    return m
+def scoring_masks(series: LabeledSeries, split: Split, washout: int):
+    """The train and test steps that are fitted and scored: each side's
+    steps less the first `washout` steps of every segment (or of every
+    contiguous block when there are no segments), which still carry state
+    from the previous span and have ambiguous targets. Raises
+    ConfigurationError where that leaves one side no step."""
+    masks = []
+    for side in (split.train, split.test):
+        m = side.steps.copy()
+        if washout > 0 and series.segments:
+            for a, b, _ in series.segments:
+                m[a:min(a + washout, b)] = False
+        elif washout > 0:
+            for s in np.flatnonzero(m & ~np.concatenate(([False], m[:-1]))):
+                m[s:s + washout] = False
+        masks.append(m)
+    if not all(m.any() for m in masks):
+        raise ConfigurationError(
+            f"washout={washout} removed all scoring steps on one side")
+    return masks
 
 
 def evaluate_series(series: LabeledSeries, cfg: ReservoirConfig, lam: float,
@@ -85,16 +90,13 @@ def evaluate_rows(group, cfg: ReservoirConfig, lam: float,
     group in one lockstep recursion (run_reservoir_rows), fit each on its
     train side and score both sides.
 
-    The reservoir is run with washout_cycles forced to 0 so state columns
-    stay aligned one-to-one with series steps; transient suppression is the
-    per-part washout applied to the scoring masks instead.
+    The states keep one column per series step. Transients are dropped in
+    one place, the scoring masks: the first part_washout steps of each
+    scored span are left out of fitting and scoring.
     """
-    cfg0 = replace(cfg, washout_cycles=0)
-    mask = make_input_mask(cfg0.k, cfg0.mask_seed)
-    states = run_reservoir_rows([series.u for series, _ in group], cfg0,
-                                mask)
-    return [fit_and_score(X.entries, series, cfg0, lam, split, part_washout,
-                          add_bias)
+    mask = make_input_mask(cfg.k, cfg.mask_seed)
+    states = run_reservoir_rows([series.u for series, _ in group], cfg, mask)
+    return [fit_and_score(X, series, cfg, lam, split, part_washout, add_bias)
             for X, (series, split) in zip(states, group)]
 
 
@@ -103,10 +105,7 @@ def fit_and_score(X, series: LabeledSeries, cfg: ReservoirConfig, lam: float,
                   add_bias: bool = False) -> EvalResult:
     """Fit the readout on the train side of the k x N states X of series
     (one column per step) and score both sides."""
-    tr = _scoring_mask(split.train, series, part_washout)
-    te = _scoring_mask(split.test, series, part_washout)
-    if not tr.any() or not te.any():
-        raise ConfigurationError("washout removed all scoring steps on one side")
+    tr, te = scoring_masks(series, split, part_washout)
     w = train_ridge(X[:, tr], series.y[:, tr], lam, add_bias=add_bias)
     y_hat = predict(w, X)
     wer = None
@@ -156,7 +155,7 @@ def reservoir_config(t: dict, params: dict, mask_seed: int) -> ReservoirConfig:
     return ReservoirConfig.from_ratio(
         k=t["k"], rho=params["rho"], G=params["G"], Phi0=params["Phi0"],
         tau_over_T=params["tau_over_T"], beta=t["beta"], M=t["M"],
-        washout_cycles=0, mask_seed=mask_seed)
+        mask_seed=mask_seed)
 
 
 def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
@@ -165,7 +164,9 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
 
     params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
     template and options override TEMPLATE_DEFAULTS and the task's
-    TASK_DEFAULTS entry; the data is task_setup's.
+    TASK_DEFAULTS entry; the data is task_setup's. eval_fn.data is that
+    data(seed) and eval_fn.washout the part washout, so a caller can check
+    the data before it evaluates, without building it twice.
     """
     t, o, data = task_setup(task, template, options)
 
@@ -175,4 +176,5 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
         return evaluate_series(series, cfg, params["lam"], split,
                                part_washout=o["washout"],
                                add_bias=t["add_bias"])
+    eval_fn.data, eval_fn.washout = data, o["washout"]
     return eval_fn

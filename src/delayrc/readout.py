@@ -29,11 +29,6 @@ def _as_2d(A) -> np.ndarray:
     return A[None, :] if A.ndim == 1 else A
 
 
-def _features(X) -> np.ndarray:
-    # accept a StateMatrix or a plain array
-    return _as_2d(getattr(X, "entries", X))
-
-
 def train_ridge(X, Y, lam: float, add_bias: bool = False) -> ReadoutWeights:
     """Solve W (X X^T + lam I) = Y X^T for the readout W.
 
@@ -42,7 +37,7 @@ def train_ridge(X, Y, lam: float, add_bias: bool = False) -> ReadoutWeights:
     constant feature row (off by default: the nonlinearity's constant
     offset already spans it approximately).
     """
-    X, Y = _features(X), _as_2d(Y)
+    X, Y = _as_2d(X), _as_2d(Y)
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lambda must be finite and nonnegative, got {lam}")
     if X.shape[1] != Y.shape[1]:
@@ -66,7 +61,7 @@ def train_ridge(X, Y, lam: float, add_bias: bool = False) -> ReadoutWeights:
 
 
 def predict(w: ReadoutWeights, X) -> np.ndarray:
-    X = _features(X)
+    X = _as_2d(X)
     if w.includes_bias:
         X = np.vstack([X, np.ones(X.shape[1])])
     if w.matrix.shape[1] != X.shape[0]:

@@ -27,7 +27,7 @@ from . import _backend, _kernels
 from .exceptions import ConfigurationError, NumericsError
 
 __all__ = [
-    "ReservoirConfig", "InputMask", "StateMatrix", "TransitionStructure",
+    "ReservoirConfig", "InputMask", "TransitionStructure",
     "make_input_mask", "mask_input", "run_reservoir", "run_reservoir_rows",
     "transition_structure",
 ]
@@ -43,7 +43,6 @@ class ReservoirConfig:
     theta: float = 1.0
     beta: float = 1.0
     M: float = 0.983
-    washout_cycles: int = 50
     mask_seed: int = 0
 
     def __post_init__(self):
@@ -57,9 +56,6 @@ class ReservoirConfig:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         if not self.tau > 0:
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if self.washout_cycles < 0:
-            raise ConfigurationError(
-                f"washout_cycles must be nonnegative, got {self.washout_cycles}")
         if not 0 < self.M <= 1:
             raise ConfigurationError(f"M must be in (0, 1], got {self.M}")
         if self.rho < 0:
@@ -97,25 +93,6 @@ class InputMask:
     @property
     def k(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class StateMatrix:
-    """k x N harvested neuron states, washout columns already dropped."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           np.asarray(self.entries, dtype=float))
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cycles(self) -> int:
-        return self.entries.shape[1]
 
 
 def make_input_mask(k: int, seed: int) -> InputMask:
@@ -157,9 +134,6 @@ def _sample_delay(cfg: ReservoirConfig, mask: InputMask, n_cycles: int) -> int:
             f"tau={cfg.tau!r} rounds to sample delay {d} < 1 on theta={cfg.theta!r}")
     if mask.k != cfg.k:
         raise ConfigurationError(f"mask length {mask.k} does not match k={cfg.k}")
-    if n_cycles <= cfg.washout_cycles:
-        raise ConfigurationError(
-            f"need more than washout_cycles={cfg.washout_cycles} input steps, got {n_cycles}")
     check_stream_samples(n_cycles * cfg.k, "the input stream")
     if d > n_cycles * cfg.k:
         # no sample could feed back, and d sizes the history buffer
@@ -178,8 +152,11 @@ def _states(s, n_cycles: int, cfg: ReservoirConfig) -> np.ndarray:
 
 
 def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
-                  history=None) -> StateMatrix:
-    """Drive the loop with N = len(u) clock cycles and harvest states.
+                  history=None) -> np.ndarray:
+    """Drive the loop with N = len(u) clock cycles and harvest the k x N
+    states, column n the neurons of cycle n. Every column is kept: a
+    caller that scores only settled states drops the first w columns
+    itself (states[:, w:]).
 
     history optionally sets the d pre-stream samples s(-d)..s(-1)
     (default zeros); it exists so state convergence from perturbed initial
@@ -189,7 +166,7 @@ def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
 
 
 def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
-                       history=None) -> list[StateMatrix]:
+                       history=None) -> list[np.ndarray]:
     """run_reservoir on each held input in us, driven in lockstep: the
     same states, from one recursion over all rows. history, when given,
     sets the d pre-stream samples of every row (default zeros).
@@ -198,6 +175,9 @@ def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
     causality that leaves each stream's own samples exact.
     """
     us = [np.asarray(u, dtype=float) for u in us]
+    if not us:
+        raise ConfigurationError("a lockstep group needs at least one stream, "
+                                 "got an empty group")
     for u in us:
         d = _sample_delay(cfg, mask, u.size)
     n_max = max(u.size for u in us)
@@ -214,8 +194,7 @@ def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
     s = _backend.evolve_samples(_kernels.HeldInput(held, mask.values), d,
                                 cfg.G, cfg.M, cfg.beta, cfg.rho, cfg.Phi0,
                                 history)
-    return [StateMatrix(_states(row[:u.size * cfg.k], u.size, cfg)
-                        [:, cfg.washout_cycles:])
+    return [_states(row[:u.size * cfg.k], u.size, cfg)
             for row, u in zip(s, us)]
 
 

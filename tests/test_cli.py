@@ -165,10 +165,10 @@ def test_best_config_is_runnable(run_cli):
 
 def test_optimize_with_no_successful_trial_exits_3(run_cli):
     # every gain of this space drives the states past the float range, so
-    # every trial fails
+    # every trial fails; the washout leaves both sides steps to score
     code, out, err, outdir = run_cli(
-        ["optimize", "task=narma10", "task.length=200", "optimize.budget=3",
-         "space.G=1e308,1.7e308"])
+        ["optimize", "task=narma10", "task.length=200", "task.washout=10",
+         "optimize.budget=3", "space.G=1e308,1.7e308"])
     assert code == 3
     assert err == ("error: no successful trial: 3 trials failed, the first "
                    "failed:NumericsError: reservoir states left the finite "
@@ -553,6 +553,20 @@ def test_optimize_refuses_a_study_whose_every_trial_fails(run_cli,
     assert code == 2, err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("space.tau_over_T=1e6,1e7", "tau_over_T"),   # every delay > the stream
+    ("task.washout=150", "washout"),   # a side keeps no scoring step
+])
+def test_optimize_refuses_a_study_its_data_fails(run_cli, override, key):
+    # checked on the study's 200-step series before the lock is taken
+    code, _, err, outdir = run_cli(["optimize", "task=narma10",
+                                    "task.length=200", "optimize.budget=2",
+                                    override])
+    assert code == 2, err
+    assert err.startswith("error: ") and key in err
     assert not outdir.exists()
 
 

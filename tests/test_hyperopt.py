@@ -331,10 +331,15 @@ def test_run_study_refuses_a_locked_directory(tmp_path):
 def test_run_study_holds_the_lock_while_it_runs(tmp_path, monkeypatch):
     held = []
 
+    real = pipeline.make_eval
+
     def make_eval(*args, **kwargs):
         def eval_fn(params, seed):
             held.append(_locked_elsewhere(tmp_path))
             return SimpleNamespace(nmse_test=quad_objective(params))
+        # the study's data, which run_study checks before it takes the lock
+        checked = real(*args, **kwargs)
+        eval_fn.data, eval_fn.washout = checked.data, checked.washout
         return eval_fn
     monkeypatch.setattr(pipeline, "make_eval", make_eval)
     run_study("sine_square", budget=2, sampler="random",

@@ -76,8 +76,7 @@ def test_cached_data_is_read_only():
 def test_washout_larger_than_part_rejected():
     series = gen_narma10(300, seed=0)
     split = split_train_test(series, 0.5, seed=0, unit="step-block")
-    cfg = ReservoirConfig(k=10, rho=0.5, G=0.5, Phi0=0.3, tau=10.0,
-                          washout_cycles=0)
+    cfg = ReservoirConfig(k=10, rho=0.5, G=0.5, Phi0=0.3, tau=10.0)
     with pytest.raises(ConfigurationError):
         evaluate_series(series, cfg, 1e-4, split, part_washout=200)
 
@@ -87,8 +86,7 @@ def test_washout_steps_are_excluded_from_training():
     # and computed over the reduced step set
     series = gen_narma10(400, seed=0)
     split = split_train_test(series, 0.5, seed=0, unit="step-block")
-    cfg = ReservoirConfig(k=10, rho=0.5, G=0.5, Phi0=0.3, tau=10.0,
-                          washout_cycles=0)
+    cfg = ReservoirConfig(k=10, rho=0.5, G=0.5, Phi0=0.3, tau=10.0)
     r_small = evaluate_series(series, cfg, 1e-4, split, part_washout=10)
     r_big = evaluate_series(series, cfg, 1e-4, split, part_washout=150)
     assert np.isfinite(r_big.nmse_test)

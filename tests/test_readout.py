@@ -12,7 +12,6 @@ from delayrc.readout import (
     predict,
     train_ridge,
 )
-from delayrc.reservoir import StateMatrix
 
 
 def dense_ridge(X, Y, lam):
@@ -36,16 +35,6 @@ def test_matches_explicit_inverse_on_dense_problem():
     for lam in (1e-6, 1e-2, 10.0):
         W = train_ridge(X, Y, lam).matrix
         assert np.allclose(W, dense_ridge(X, Y, lam), atol=1e-8)
-
-
-def test_accepts_state_matrix_wrapper():
-    rng = np.random.default_rng(1)
-    E = rng.normal(size=(6, 30))
-    Y = rng.normal(size=(1, 30))
-    sm = StateMatrix(entries=E)
-    a = train_ridge(sm, Y, 0.1).matrix
-    b = train_ridge(E, Y, 0.1).matrix
-    assert np.array_equal(a, b)
 
 
 def test_exact_recovery_of_linear_map():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayrc import _kernels
+from delayrc import _kernels, pipeline
 from delayrc.exceptions import ConfigurationError, NumericsError
 from delayrc.reservoir import (
     MAX_STREAM_SAMPLES,
@@ -21,11 +21,10 @@ from delayrc.reservoir import (
 
 
 def cfg_for(k=50, rho=0.9, G=0.56, Phi0=0.2, tau=None, beta=1.0, theta=1.0,
-            washout=0, mask_seed=0):
+            mask_seed=0):
     return ReservoirConfig(k=k, rho=rho, G=G, Phi0=Phi0,
                            tau=(k * theta if tau is None else tau),
-                           theta=theta, beta=beta, washout_cycles=washout,
-                           mask_seed=mask_seed)
+                           theta=theta, beta=beta, mask_seed=mask_seed)
 
 
 # ------------------------------------------------------------------ masks
@@ -88,7 +87,7 @@ def test_constant_state_without_feedback_or_input():
     mask = make_input_mask(8, 0)
     S = run_reservoir(np.zeros(5), c, mask)
     expect = 0.5 * 0.8 * (1 + 0.983 * np.sin(0.3))
-    assert np.allclose(S.entries, expect, atol=1e-15)
+    assert np.allclose(S, expect, atol=1e-15)
 
 
 def test_states_respect_transmission_bounds():
@@ -96,8 +95,8 @@ def test_states_respect_transmission_bounds():
     mask = make_input_mask(20, 1)
     S = run_reservoir(np.random.default_rng(0).uniform(-1, 1, 60), c, mask)
     lo, hi = 0.5 * 1.1 * (1 - 0.983), 0.5 * 1.1 * (1 + 0.983)
-    assert S.entries.min() >= lo - 1e-12
-    assert S.entries.max() <= hi + 1e-12
+    assert S.min() >= lo - 1e-12
+    assert S.max() <= hi + 1e-12
 
 
 def test_synchronous_delay_decouples_neurons():
@@ -112,23 +111,7 @@ def test_synchronous_delay_decouples_neurons():
     p = OscillatorParams(G=0.8, M=0.983, x_b=0.11)
     expect = iterate(0.0, 9, p)[1:]
     for i in range(k):
-        assert np.allclose(S.entries[i], expect, atol=1e-12)
-
-
-def test_state_matrix_shape_and_washout():
-    c = cfg_for(k=10, washout=4)
-    mask = make_input_mask(10, 0)
-    S = run_reservoir(np.zeros(9), c, mask)
-    assert S.entries.shape == (10, 5)
-    assert S.n_cycles == 5
-    full = run_reservoir(np.zeros(9), cfg_for(k=10, washout=0), mask)
-    assert np.array_equal(S.entries, full.entries[:, 4:])
-
-
-def test_washout_must_leave_data():
-    c = cfg_for(k=10, washout=5)
-    with pytest.raises(ConfigurationError):
-        run_reservoir(np.zeros(5), c, make_input_mask(10, 0))
+        assert np.allclose(S[i], expect, atol=1e-12)
 
 
 def test_mask_length_must_match_k():
@@ -139,7 +122,7 @@ def test_mask_length_must_match_k():
 def test_delay_longer_than_stream_rejected():
     u = np.full(4, 0.5)
     cfg = cfg_for(k=5, tau=20.0)
-    assert run_reservoir(u, cfg, make_input_mask(5, 0)).entries.shape == (5, 4)
+    assert run_reservoir(u, cfg, make_input_mask(5, 0)).shape == (5, 4)
     with pytest.raises(ConfigurationError, match="longer than the stream"):
         run_reservoir(u, cfg_for(k=5, tau=21.0), make_input_mask(5, 0))
 
@@ -154,8 +137,8 @@ def test_run_is_bitwise_deterministic():
     c = cfg_for()
     mask = make_input_mask(50, 0)
     u = np.random.default_rng(5).uniform(-1, 1, 40)
-    a = run_reservoir(u, c, mask).entries
-    b = run_reservoir(u, c, mask).entries
+    a = run_reservoir(u, c, mask)
+    b = run_reservoir(u, c, mask)
     assert np.array_equal(a, b)
 
 
@@ -171,7 +154,7 @@ def test_recursion_against_direct_python_loop():
         s[m + d] = 0.5 * 0.9 * (1 + 0.983 * np.sin(
             np.pi * (0.8 * s[m] + 0.45 * J[m]) + 0.35))
     expect = s[d:].reshape(12, 7).T
-    got = run_reservoir(u, c, mask).entries
+    got = run_reservoir(u, c, mask)
     assert np.array_equal(got, expect)
 
 
@@ -183,8 +166,8 @@ def test_history_perturbation_washes_out():
     rng = np.random.default_rng(7)
     u = rng.uniform(0, 0.5, 120)
     h = rng.uniform(0, 1, c.sample_delay)
-    base = run_reservoir(u, c, mask).entries
-    pert = run_reservoir(u, c, mask, history=h).entries
+    base = run_reservoir(u, c, mask)
+    pert = run_reservoir(u, c, mask, history=h)
     diff = np.abs(base - pert).max(axis=0)
     assert diff[0] > 0.01          # the perturbation is actually felt
     assert diff[50] < 1e-12        # and fully forgotten inside the washout
@@ -196,8 +179,8 @@ def test_history_perturbation_decays_at_high_feedback():
     rng = np.random.default_rng(7)
     u = rng.uniform(0, 0.5, 400)
     h = rng.uniform(0, 1, c.sample_delay)
-    base = run_reservoir(u, c, mask).entries
-    pert = run_reservoir(u, c, mask, history=h).entries
+    base = run_reservoir(u, c, mask)
+    pert = run_reservoir(u, c, mask, history=h)
     diff = np.abs(base - pert).max(axis=0)
     assert diff[399] < 1e-6
     assert diff[399] < diff[100] < diff[10]
@@ -244,13 +227,13 @@ def test_transition_rows_have_single_source():
 @settings(max_examples=40, deadline=None)
 def test_matrix_form_reproduces_samplewise_run(k, d, seed):
     c = ReservoirConfig(k=k, rho=0.4, G=0.85, Phi0=0.3, tau=float(d),
-                        beta=0.75, washout_cycles=0, mask_seed=1)
+                        beta=0.75, mask_seed=1)
     mask = make_input_mask(k, 1)
     rng = np.random.default_rng(seed)
     n = 2 * (d // k) + 6
     u = rng.uniform(-1, 1, n)
     J = mask_input(u, mask)
-    S = run_reservoir(u, c, mask).entries
+    S = run_reservoir(u, c, mask)
     ts = transition_structure(k, d)
     for m in range(ts.cycle_lag + 1, n):
         fb = ts.w_same @ S[:, m - ts.cycle_lag] + ts.w_prev @ S[:, m - ts.cycle_lag - 1]
@@ -521,10 +504,17 @@ def test_rows_take_one_history_for_every_row():
     c = cfg_for(k=7, tau=33.0)
     h = rng.uniform(0, 1, 33)
     for X, u in zip(run_reservoir_rows(us, c, mask, history=h), us):
-        assert np.array_equal(X.entries,
-                              run_reservoir(u, c, mask, history=h).entries)
+        assert np.array_equal(X, run_reservoir(u, c, mask, history=h))
     with pytest.raises(ConfigurationError, match="history"):
         run_reservoir_rows(us, c, mask, history=np.zeros(32))
+
+
+def test_empty_group_is_refused():
+    c = cfg_for(k=7)
+    with pytest.raises(ConfigurationError, match="empty group"):
+        run_reservoir_rows([], c, make_input_mask(7, 2))
+    with pytest.raises(ConfigurationError, match="empty group"):
+        pipeline.evaluate_rows([], c, 1e-4)
 
 
 def test_rows_check_every_stream():
