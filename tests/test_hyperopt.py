@@ -330,7 +330,6 @@ def test_run_study_refuses_a_locked_directory(tmp_path):
 
 def test_run_study_holds_the_lock_while_it_runs(tmp_path, monkeypatch):
     held = []
-
     real = pipeline.make_eval
 
     def make_eval(*args, **kwargs):
