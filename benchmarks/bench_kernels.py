@@ -343,7 +343,7 @@ def merges(J, d, params, exact):
 def bench_segments(n):
     """One stream, and the sweep's 3-row lockstep group, cut into time
     segments against the same rows run whole."""
-    mask = reservoir.make_input_mask(K, 0).values
+    mask = reservoir.make_input_mask(K, 0)
     _, _, data = pipeline.task_setup("narma10", options={"length": n // K})
     narma = _kernels.HeldInput(data(0)[0].u[None], mask)
     # README's narma10 reservoir (G, M, beta, rho, Phi0)

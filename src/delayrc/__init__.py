@@ -17,8 +17,8 @@ from .hyperopt import (SearchSpace, Study, Trial, load_study, resonance_sweep,
 from .pipeline import evaluate_series, make_eval
 from .readout import (ReadoutWeights, classify_sequences, nmse, nrmse,
                       predict, train_ridge)
-from .reservoir import (InputMask, ReservoirConfig, make_input_mask,
-                        mask_input, run_reservoir, transition_structure)
+from .reservoir import (ReservoirConfig, make_input_mask, mask_input,
+                        run_reservoir, transition_structure)
 from .tasks import (LabeledSeries, gen_narma10, gen_sine_square,
                     gen_synthetic_vowels, encode_multiplexed,
                     load_japanese_vowels, split_train_test)

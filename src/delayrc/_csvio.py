@@ -33,12 +33,15 @@ def fmt(v) -> str:
 def write_atomic(path, fill):
     """Write the file at path through fill(fh), all or nothing.
 
-    fill writes to a temporary file in the same directory, which is fsynced
-    and renamed over path, so a crash or an exception in fill leaves either
-    the old file or the whole new one, and no temporary file behind.
+    fill writes to the temporary file <path>.tmp, which is fsynced and
+    renamed over path, so a crash or an exception in fill leaves either the
+    old file or the whole new one. An exception removes the temporary file;
+    one that a killed process leaves is replaced by the next write of path.
+    The fixed name assumes one writer per path at a time (the study lock
+    ensures it for a study file).
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="\n") as fh:
             fill(fh)

@@ -513,6 +513,10 @@ def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
     a, b = float(axis_range[0]), float(axis_range[1])
     if not b > a:
         raise ConfigurationError(f"axis range must have positive width, got [{a}, {b}]")
+    if not math.isfinite(b - a):
+        # linspace would step by inf and place nan on the axis
+        raise ConfigurationError(
+            f"axis range [{a}, {b}] is too wide: its width is not finite")
     values = np.linspace(a, b, steps)
     params = [_with_axis(p, axis, v) for v in values]
     found = _period_points([(pv, N) for pv in params

@@ -1,8 +1,8 @@
 """End-to-end evaluation: reservoir run, ridge training and scoring of
 the data that tasks builds and splits. Everything downstream (CLI,
 hyperparameter search, sweeps) funnels through evaluate_rows
-(evaluate_series is its one-row case), so mask, recursion, fit and score
-and their train/test bookkeeping live in exactly one place."""
+(evaluate_series is its one-row case), so recursion, fit and score and
+their train/test bookkeeping live in exactly one place."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ import numpy as np
 from . import tasks
 from .exceptions import ConfigurationError
 from .readout import classify_sequences, nmse, nrmse, predict, train_ridge
-from .reservoir import (ReservoirConfig, check_stream_samples, make_input_mask,
-                        run_reservoir_rows)
+from .reservoir import ReservoirConfig, check_stream_samples, run_reservoir_rows
 from .tasks import LabeledSeries, Split
 
 __all__ = [
@@ -94,8 +93,7 @@ def evaluate_rows(group, cfg: ReservoirConfig, lam: float,
     one place, the scoring masks: the first part_washout steps of each
     scored span are left out of fitting and scoring.
     """
-    mask = make_input_mask(cfg.k, cfg.mask_seed)
-    states = run_reservoir_rows([series.u for series, _ in group], cfg, mask)
+    states = run_reservoir_rows([series.u for series, _ in group], cfg)
     return [fit_and_score(X, series, cfg, lam, split, part_washout, add_bias)
             for X, (series, split) in zip(states, group)]
 

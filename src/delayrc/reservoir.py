@@ -27,7 +27,7 @@ from . import _backend, _kernels
 from .exceptions import ConfigurationError, NumericsError
 
 __all__ = [
-    "ReservoirConfig", "InputMask", "TransitionStructure",
+    "ReservoirConfig", "TransitionStructure",
     "make_input_mask", "mask_input", "run_reservoir", "run_reservoir_rows",
     "transition_structure",
 ]
@@ -62,6 +62,9 @@ class ReservoirConfig:
             raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
         if not self.G > 0:
             raise ConfigurationError(f"G must be positive, got {self.G}")
+        if not 0 <= self.mask_seed < 2**128:
+            raise ConfigurationError(
+                f"mask_seed must be in [0, 2**128), got {self.mask_seed}")
 
     @property
     def T(self) -> float:
@@ -79,34 +82,17 @@ class ReservoirConfig:
         return cls(k=k, rho=rho, G=G, Phi0=Phi0, tau=tau_over_T * k, **kw)
 
 
-@dataclass(frozen=True)
-class InputMask:
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise ConfigurationError("mask must be a nonempty 1-d array")
-
-    @property
-    def k(self) -> int:
-        return self.values.size
-
-
-def make_input_mask(k: int, seed: int) -> InputMask:
+def make_input_mask(k: int, seed: int) -> np.ndarray:
     """k uniform draws on [-1, 1] from a counter-based generator (Philox),
     so the mask is a pure function of (k, seed) on any platform."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return InputMask(values=gen.uniform(-1.0, 1.0, k), seed=seed)
+    return np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, k)
 
 
-def mask_input(u, mask: InputMask) -> np.ndarray:
+def mask_input(u, mask: np.ndarray) -> np.ndarray:
     """Sample-and-hold plus masking: output[i + n k] = mask[i] u(n)."""
-    return _kernels.masked(np.asarray(u, dtype=float), mask.values)
+    return _kernels.masked(np.asarray(u, dtype=float), mask)
 
 
 # the most samples (cycles x k) one stream, or one lockstep group of
@@ -125,15 +111,13 @@ def check_stream_samples(n_samples: int, what: str):
             f"{MAX_STREAM_SAMPLES:,}")
 
 
-def _sample_delay(cfg: ReservoirConfig, mask: InputMask, n_cycles: int) -> int:
+def _sample_delay(cfg: ReservoirConfig, n_cycles: int) -> int:
     """The sample delay d of cfg, once a stream of n_cycles passes the
     checks every driven stream passes."""
     d = cfg.sample_delay
     if d < 1:
         raise ConfigurationError(
             f"tau={cfg.tau!r} rounds to sample delay {d} < 1 on theta={cfg.theta!r}")
-    if mask.k != cfg.k:
-        raise ConfigurationError(f"mask length {mask.k} does not match k={cfg.k}")
     check_stream_samples(n_cycles * cfg.k, "the input stream")
     if d > n_cycles * cfg.k:
         # no sample could feed back, and d sizes the history buffer
@@ -151,22 +135,21 @@ def _states(s, n_cycles: int, cfg: ReservoirConfig) -> np.ndarray:
     return s.reshape(n_cycles, cfg.k).T
 
 
-def run_reservoir(u, cfg: ReservoirConfig, mask: InputMask,
-                  history=None) -> np.ndarray:
-    """Drive the loop with N = len(u) clock cycles and harvest the k x N
-    states, column n the neurons of cycle n. Every column is kept: a
-    caller that scores only settled states drops the first w columns
-    itself (states[:, w:]).
+def run_reservoir(u, cfg: ReservoirConfig, history=None) -> np.ndarray:
+    """Drive the loop with N = len(u) clock cycles, masked by
+    make_input_mask(cfg.k, cfg.mask_seed), and harvest the k x N states,
+    column n the neurons of cycle n. Every column is kept: a caller that
+    scores only settled states drops the first w columns itself
+    (states[:, w:]).
 
     history optionally sets the d pre-stream samples s(-d)..s(-1)
     (default zeros); it exists so state convergence from perturbed initial
     conditions can be probed.
     """
-    return run_reservoir_rows([u], cfg, mask, history)[0]
+    return run_reservoir_rows([u], cfg, history)[0]
 
 
-def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
-                       history=None) -> list[np.ndarray]:
+def run_reservoir_rows(us, cfg: ReservoirConfig, history=None) -> list[np.ndarray]:
     """run_reservoir on each held input in us, driven in lockstep: the
     same states, from one recursion over all rows. history, when given,
     sets the d pre-stream samples of every row (default zeros).
@@ -179,7 +162,7 @@ def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
         raise ConfigurationError("a lockstep group needs at least one stream, "
                                  "got an empty group")
     for u in us:
-        d = _sample_delay(cfg, mask, u.size)
+        d = _sample_delay(cfg, u.size)
     n_max = max(u.size for u in us)
     check_stream_samples(len(us) * n_max * cfg.k, "a lockstep group")
     if history is None:
@@ -191,7 +174,8 @@ def run_reservoir_rows(us, cfg: ReservoirConfig, mask: InputMask,
     held = np.zeros((len(us), n_max))
     for row, u in zip(held, us):
         row[:u.size] = u
-    s = _backend.evolve_samples(_kernels.HeldInput(held, mask.values), d,
+    mask = make_input_mask(cfg.k, cfg.mask_seed)
+    s = _backend.evolve_samples(_kernels.HeldInput(held, mask), d,
                                 cfg.G, cfg.M, cfg.beta, cfg.rho, cfg.Phi0,
                                 history)
     return [_states(row[:u.size * cfg.k], u.size, cfg)

@@ -199,10 +199,9 @@ def test_5_oracle_equivalences():
         n = int(rng.integers(3, 21))
         c = ReservoirConfig(k=k, rho=0.4, G=0.85, Phi0=0.3, tau=float(d),
                             beta=0.75, mask_seed=1)
-        mask = make_input_mask(k, 1)
         u = rng.uniform(-1, 1, n)
-        J = mask_input(u, mask)
-        S = run_reservoir(u, c, mask)
+        J = mask_input(u, make_input_mask(k, 1))
+        S = run_reservoir(u, c)
         ts = transition_structure(k, d)
         for m in range(ts.cycle_lag + 1, n):
             fb = (ts.w_same @ S[:, m - ts.cycle_lag]

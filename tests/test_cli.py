@@ -299,13 +299,13 @@ def test_map_size_is_bounded(run_cli, argv, artifact):
 def no_allocation(monkeypatch):
     """Make every data generator and the mask fail the test if reached: a
     size bound must refuse before anything is built."""
-    from delayrc import pipeline, tasks
+    from delayrc import reservoir, tasks
 
     def refuse(*args, **kwargs):
         raise AssertionError("built data or a mask past the size bound")
     for name in ("gen_narma10", "gen_sine_square", "gen_synthetic_vowels"):
         monkeypatch.setattr(tasks, name, refuse)
-    monkeypatch.setattr(pipeline, "make_input_mask", refuse)
+    monkeypatch.setattr(reservoir, "make_input_mask", refuse)
 
 
 @pytest.mark.parametrize("command", ["run", "optimize", "sweep-delay"])
@@ -413,6 +413,19 @@ def test_map_overflow_exits_3_with_warnings_as_errors(tmp_path):
         "dynamics.steps=2"], flags=["-W", "error"])
     assert code == 3, err
     assert err == "error: map iterates left the finite range; lower G\n"
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"),
+                                    ("-inf", "0"), ("0", "inf")])
+def test_bifurcation_range_too_wide_exits_2(tmp_path, lo, hi):
+    # hi - lo overflows: refused by name before linspace warns or puts nan
+    # on the axis
+    code, err = run_fresh(tmp_path, [
+        "dynamics", "bifurcation", "dynamics.axis=x_b", "dynamics.steps=5",
+        f"dynamics.lo={lo}", f"dynamics.hi={hi}"], flags=["-W", "error"])
+    assert code == 2, err
+    assert err == (f"error: axis range [{float(lo)}, {float(hi)}] is too "
+                   "wide: its width is not finite\n")
 
 
 def run_fresh(outdir, argv, flags=(), preexec_fn=None):

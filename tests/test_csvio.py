@@ -1,8 +1,15 @@
 """Artifact writing: exact bytes and all-or-nothing replacement."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import delayrc
 from delayrc._csvio import fmt, write_atomic, write_csv
 
 
@@ -58,3 +65,30 @@ def test_failed_row_keeps_old_csv(tmp_path):
         write_csv(path, ["x"], rows())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_killed_writer_leaves_nothing_after_the_next_write(tmp_path):
+    # a SIGKILL skips every cleanup, so the temporary file stays until the
+    # next write of the same target replaces it
+    path = tmp_path / "a.cfg"
+    write_atomic(path, lambda fh: fh.write("old\n"))
+    child = (
+        "import os, signal, sys\n"
+        "from delayrc._csvio import write_atomic\n"
+        "def fill(fh):\n"
+        "    fh.write('new, first half\\n')\n"
+        "    fh.flush()\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "write_atomic(sys.argv[1], fill)\n")
+    src = str(Path(delayrc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                          timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    assert path.read_bytes() == b"old\n"
+    assert len(list(tmp_path.iterdir())) == 2   # the target and a temp file
+    write_atomic(path, lambda fh: fh.write("new\n"))
+    assert [p.name for p in tmp_path.iterdir()] == ["a.cfg"]
+    assert path.read_bytes() == b"new\n"

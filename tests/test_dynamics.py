@@ -416,6 +416,24 @@ def test_iterate_n_float_matches_iterate_n_bitwise(p):
         assert _bits(got) == _bits(iterate_n(xs, N, p))
 
 
+def test_math_sin_cos_round_like_numpy_bitwise():
+    # iterate, the period-point search and the numba path step on
+    # math.sin/math.cos where other paths call np.sin/np.cos on arrays;
+    # a numpy whose array sin or cos rounds differently fails here first
+    near_right_angles = [y for x in (k * math.pi / 2 for k in range(-64, 65))
+                         for y in (math.nextafter(x, -math.inf), x,
+                                   math.nextafter(x, math.inf))]
+    hard = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e22, 2.0**53, 1e300,
+            sys.float_info.max]
+    xs = np.concatenate([np.random.default_rng(26).uniform(-10, 10, 200_000),
+                         near_right_angles, hard, np.negative(hard)])
+    for scalar, array in ((math.sin, np.sin), (math.cos, np.cos)):
+        want = np.array([scalar(x) for x in xs.tolist()])
+        got = array(xs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            xs[got.view(np.int64) != want.view(np.int64)][:5]
+
+
 def test_image_stack_matches_iterate_n_bitwise():
     for p in (osc(0.93), osc(1.2, M=0.7, x_b=0.3), osc(1.49, x_b=-0.21)):
         xs = np.linspace(-0.1, p.G + 0.1, dynamics._GRID_CELLS + 1)

@@ -10,7 +10,6 @@ from delayrc import _kernels, pipeline
 from delayrc.exceptions import ConfigurationError, NumericsError
 from delayrc.reservoir import (
     MAX_STREAM_SAMPLES,
-    InputMask,
     ReservoirConfig,
     make_input_mask,
     mask_input,
@@ -33,21 +32,19 @@ def test_mask_is_deterministic_per_seed():
     m1 = make_input_mask(50, 7)
     m2 = make_input_mask(50, 7)
     m3 = make_input_mask(50, 8)
-    assert np.array_equal(m1.values, m2.values)
-    assert not np.array_equal(m1.values, m3.values)
-    assert m1.seed == 7
+    assert np.array_equal(m1, m2)
+    assert not np.array_equal(m1, m3)
 
 
 def test_mask_statistics():
     m = make_input_mask(100_000, 0)
-    assert np.all(m.values >= -1) and np.all(m.values <= 1)
-    assert abs(m.values.mean()) < 0.02
-    assert abs(m.values.var() - 1 / 3) < 0.05 / 3
+    assert np.all(m >= -1) and np.all(m <= 1)
+    assert abs(m.mean()) < 0.02
+    assert abs(m.var() - 1 / 3) < 0.05 / 3
 
 
 def test_mask_input_hand_example():
-    m = InputMask(values=np.array([0.5, -0.25, 1.0]), seed=0)
-    out = mask_input(np.array([2.0, -1.0]), m)
+    out = mask_input(np.array([2.0, -1.0]), np.array([0.5, -0.25, 1.0]))
     assert np.array_equal(out, [1.0, -0.5, 2.0, -0.5, 0.25, -1.0])
 
 
@@ -78,22 +75,24 @@ def test_config_validation():
         cfg_for(rho=-0.5)
     with pytest.raises(ConfigurationError):
         ReservoirConfig(k=5, rho=0.5, G=0.5, Phi0=0.1, tau=5.0, theta=0.0)
+    # Philox takes keys in [0, 2**128) only
+    for seed in (-1, 2**128):
+        with pytest.raises(ConfigurationError, match="mask_seed"):
+            cfg_for(mask_seed=seed)
 
 
 # ---------------------------------------------------------------- states
 
 def test_constant_state_without_feedback_or_input():
     c = cfg_for(k=8, rho=0.4, G=0.8, Phi0=0.3, beta=0.0)
-    mask = make_input_mask(8, 0)
-    S = run_reservoir(np.zeros(5), c, mask)
+    S = run_reservoir(np.zeros(5), c)
     expect = 0.5 * 0.8 * (1 + 0.983 * np.sin(0.3))
     assert np.allclose(S, expect, atol=1e-15)
 
 
 def test_states_respect_transmission_bounds():
-    c = cfg_for(k=20, rho=1.0, G=1.1, Phi0=1.0, beta=0.9)
-    mask = make_input_mask(20, 1)
-    S = run_reservoir(np.random.default_rng(0).uniform(-1, 1, 60), c, mask)
+    c = cfg_for(k=20, rho=1.0, G=1.1, Phi0=1.0, beta=0.9, mask_seed=1)
+    S = run_reservoir(np.random.default_rng(0).uniform(-1, 1, 60), c)
     lo, hi = 0.5 * 1.1 * (1 - 0.983), 0.5 * 1.1 * (1 + 0.983)
     assert S.min() >= lo - 1e-12
     assert S.max() <= hi + 1e-12
@@ -105,56 +104,50 @@ def test_synchronous_delay_decouples_neurons():
     # history (bias folded into the offset phase).
     from delayrc.dynamics import OscillatorParams, iterate
     k = 6
-    c = cfg_for(k=k, rho=0.7, G=0.8, Phi0=np.pi * 0.11, tau=float(k), beta=1.0)
-    mask = make_input_mask(k, 2)
-    S = run_reservoir(np.zeros(9), c, mask)
+    c = cfg_for(k=k, rho=0.7, G=0.8, Phi0=np.pi * 0.11, tau=float(k), beta=1.0,
+                mask_seed=2)
+    S = run_reservoir(np.zeros(9), c)
     p = OscillatorParams(G=0.8, M=0.983, x_b=0.11)
     expect = iterate(0.0, 9, p)[1:]
     for i in range(k):
         assert np.allclose(S[i], expect, atol=1e-12)
 
 
-def test_mask_length_must_match_k():
-    with pytest.raises(ConfigurationError):
-        run_reservoir(np.zeros(4), cfg_for(k=10), make_input_mask(9, 0))
-
-
 def test_delay_longer_than_stream_rejected():
     u = np.full(4, 0.5)
     cfg = cfg_for(k=5, tau=20.0)
-    assert run_reservoir(u, cfg, make_input_mask(5, 0)).shape == (5, 4)
+    assert run_reservoir(u, cfg).shape == (5, 4)
     with pytest.raises(ConfigurationError, match="longer than the stream"):
-        run_reservoir(u, cfg_for(k=5, tau=21.0), make_input_mask(5, 0))
+        run_reservoir(u, cfg_for(k=5, tau=21.0))
 
 
 def test_delay_under_one_sample_rejected():
     c = cfg_for(k=10, tau=0.4)
     with pytest.raises(ConfigurationError):
-        run_reservoir(np.zeros(4), c, make_input_mask(10, 0))
+        run_reservoir(np.zeros(4), c)
 
 
 def test_run_is_bitwise_deterministic():
     c = cfg_for()
-    mask = make_input_mask(50, 0)
     u = np.random.default_rng(5).uniform(-1, 1, 40)
-    a = run_reservoir(u, c, mask)
-    b = run_reservoir(u, c, mask)
+    a = run_reservoir(u, c)
+    b = run_reservoir(u, c)
     assert np.array_equal(a, b)
 
 
 def test_recursion_against_direct_python_loop():
     # literal transcription of the sample update, no vectorization tricks
-    c = cfg_for(k=7, rho=0.45, G=0.9, Phi0=0.35, tau=11.0, beta=0.8)
-    mask = make_input_mask(7, 4)
+    c = cfg_for(k=7, rho=0.45, G=0.9, Phi0=0.35, tau=11.0, beta=0.8,
+                mask_seed=4)
     u = np.random.default_rng(8).uniform(-1, 1, 12)
-    J = mask_input(u, mask)
+    J = mask_input(u, make_input_mask(7, 4))
     d = c.sample_delay
     s = np.zeros(J.size + d)
     for m in range(J.size):
         s[m + d] = 0.5 * 0.9 * (1 + 0.983 * np.sin(
             np.pi * (0.8 * s[m] + 0.45 * J[m]) + 0.35))
     expect = s[d:].reshape(12, 7).T
-    got = run_reservoir(u, c, mask)
+    got = run_reservoir(u, c)
     assert np.array_equal(got, expect)
 
 
@@ -162,12 +155,11 @@ def test_recursion_against_direct_python_loop():
 
 def test_history_perturbation_washes_out():
     c = cfg_for(k=50, rho=0.9, G=0.56, Phi0=0.2, beta=1.0)
-    mask = make_input_mask(50, 0)
     rng = np.random.default_rng(7)
     u = rng.uniform(0, 0.5, 120)
     h = rng.uniform(0, 1, c.sample_delay)
-    base = run_reservoir(u, c, mask)
-    pert = run_reservoir(u, c, mask, history=h)
+    base = run_reservoir(u, c)
+    pert = run_reservoir(u, c, history=h)
     diff = np.abs(base - pert).max(axis=0)
     assert diff[0] > 0.01          # the perturbation is actually felt
     assert diff[50] < 1e-12        # and fully forgotten inside the washout
@@ -175,12 +167,11 @@ def test_history_perturbation_washes_out():
 
 def test_history_perturbation_decays_at_high_feedback():
     c = cfg_for(k=50, rho=0.9, G=0.9, Phi0=0.63, beta=0.85)
-    mask = make_input_mask(50, 0)
     rng = np.random.default_rng(7)
     u = rng.uniform(0, 0.5, 400)
     h = rng.uniform(0, 1, c.sample_delay)
-    base = run_reservoir(u, c, mask)
-    pert = run_reservoir(u, c, mask, history=h)
+    base = run_reservoir(u, c)
+    pert = run_reservoir(u, c, history=h)
     diff = np.abs(base - pert).max(axis=0)
     assert diff[399] < 1e-6
     assert diff[399] < diff[100] < diff[10]
@@ -228,12 +219,11 @@ def test_transition_rows_have_single_source():
 def test_matrix_form_reproduces_samplewise_run(k, d, seed):
     c = ReservoirConfig(k=k, rho=0.4, G=0.85, Phi0=0.3, tau=float(d),
                         beta=0.75, mask_seed=1)
-    mask = make_input_mask(k, 1)
     rng = np.random.default_rng(seed)
     n = 2 * (d // k) + 6
     u = rng.uniform(-1, 1, n)
-    J = mask_input(u, mask)
-    S = run_reservoir(u, c, mask)
+    J = mask_input(u, make_input_mask(k, 1))
+    S = run_reservoir(u, c)
     ts = transition_structure(k, d)
     for m in range(ts.cycle_lag + 1, n):
         fb = ts.w_same @ S[:, m - ts.cycle_lag] + ts.w_prev @ S[:, m - ts.cycle_lag - 1]
@@ -250,7 +240,7 @@ def test_numpy_block_recursion_matches_python_loop():
     mask = make_input_mask(7, 3)
     u = rng.uniform(-1, 1, (_kernels._CHUNK + 907) // 7)
     J = mask_input(u, mask)
-    held = _kernels.HeldInput(u[None], mask.values)
+    held = _kernels.HeldInput(u[None], mask)
     for d in (1, 3, 19, 20, 50, 137, 700, 6000):
         hist = np.zeros(d)
         a, = _kernels.evolve_samples_numpy(held, d, 0.9, 0.983, 0.8, 0.5, 0.3, hist)
@@ -283,7 +273,7 @@ def test_lockstep_rows_match_loop_bitwise(R):
     rng = np.random.default_rng(20 + R)
     mask = make_input_mask(7, 2)
     us, padded = _ragged_rows(rng, R, 7)
-    held = _kernels.HeldInput(padded, mask.values)
+    held = _kernels.HeldInput(padded, mask)
     # block widths d*R from R up; 4500 samples is longer than one chunk
     # and shorter than every stream
     for d in (1, 3, 4, 6, 7, 9, 10, 19, 20, 50, 137, 700, 4500):
@@ -307,7 +297,7 @@ def test_overflow_leaves_nan_where_the_loop_does(R):
     rng = np.random.default_rng(40 + R)
     mask = make_input_mask(7, 4)
     us, padded = _ragged_rows(rng, R, 7)
-    held = _kernels.HeldInput(padded, mask.values)
+    held = _kernels.HeldInput(padded, mask)
     for d in (1, 6, 7, 19, 20, 50):
         params = (d, 1e308, 0.983, 0.85, 0.9, 0.63, np.zeros((R, d)))
         refs = []
@@ -372,7 +362,7 @@ def test_segments_match_loop_bitwise(monkeypatch, G, d, R):
     padded = np.zeros((R, max(u.size for u in us)))
     for row, u in zip(padded, us):
         row[:u.size] = u
-    held = _kernels.HeldInput(padded, mask.values)
+    held = _kernels.HeldInput(padded, mask)
     H = rng.uniform(0, 1, (R, d))
     H[:, ::2] = -0.0
     params = (d, G, 0.983, 0.85, 0.9, 0.63)
@@ -413,7 +403,7 @@ def test_streams_under_two_segments_run_whole(monkeypatch, d, trips,
     params = (d, 0.1, 0.983, 0.85, 0.9, 0.63, np.zeros(d))
     for n in (1, shortest, 2 * shortest - 1, 2 * shortest):
         u = rng.uniform(-1, 1, n)
-        held = _kernels.HeldInput(u[None], mask.values)
+        held = _kernels.HeldInput(u[None], mask)
         stepped[0] = 0
         S = _kernels.evolve_samples_numpy(held, *params)
         assert (stepped[0] == held.size) == (n < 2 * shortest), n
@@ -441,7 +431,7 @@ def test_restart_windows_hold_d_samples_up_to_the_cap(monkeypatch):
     u = rng.uniform(-1, 1, 980)
     params = (d, 3.0, 0.983, 0.85, 0.9, 0.63, rng.uniform(0, 1, d))
     S = _kernels.evolve_samples_numpy(_kernels.HeldInput(u[None],
-                                                         mask.values), *params)
+                                                         mask), *params)
     assert widths[:5] == [490, 8, 16, 32, 66]
     ref = _kernels.evolve_samples_loop(mask_input(u, mask), *params)
     assert _same_bits(S[0], ref)
@@ -453,7 +443,7 @@ def benchmark_streams():
     zero-padded to 10,496 cycles) and the default narma10 series (8,000
     cycles), as held inputs at k = 50."""
     from delayrc import pipeline
-    mask = make_input_mask(50, 0).values
+    mask = make_input_mask(50, 0)
     _, _, data = pipeline.task_setup("sine_square")
     us = [data(seed)[0].u for seed in range(3)]
     group = np.zeros((3, max(u.size for u in us)))
@@ -499,58 +489,55 @@ def test_small_delays_cut_streams_into_more_segments(benchmark_streams, d):
 
 def test_rows_take_one_history_for_every_row():
     rng = np.random.default_rng(6)
-    mask = make_input_mask(7, 2)
     us, _ = _ragged_rows(rng, 2, 7)
-    c = cfg_for(k=7, tau=33.0)
+    c = cfg_for(k=7, tau=33.0, mask_seed=2)
     h = rng.uniform(0, 1, 33)
-    for X, u in zip(run_reservoir_rows(us, c, mask, history=h), us):
-        assert np.array_equal(X, run_reservoir(u, c, mask, history=h))
+    for X, u in zip(run_reservoir_rows(us, c, history=h), us):
+        assert np.array_equal(X, run_reservoir(u, c, history=h))
     with pytest.raises(ConfigurationError, match="history"):
-        run_reservoir_rows(us, c, mask, history=np.zeros(32))
+        run_reservoir_rows(us, c, history=np.zeros(32))
 
 
 def test_empty_group_is_refused():
     c = cfg_for(k=7)
     with pytest.raises(ConfigurationError, match="empty group"):
-        run_reservoir_rows([], c, make_input_mask(7, 2))
+        run_reservoir_rows([], c)
     with pytest.raises(ConfigurationError, match="empty group"):
         pipeline.evaluate_rows([], c, 1e-4)
 
 
 def test_rows_check_every_stream():
-    mask = make_input_mask(7, 2)
     us = [np.ones(20), np.ones(3)]
     with pytest.raises(ConfigurationError, match="longer than the stream"):
-        run_reservoir_rows(us, cfg_for(k=7, tau=30.0), mask)
+        run_reservoir_rows(us, cfg_for(k=7, tau=30.0))
 
 
 # block widths d*rows 10 and 20 at tau 10, 50 and 100 at tau 50
 @pytest.mark.parametrize("tau", [10.0, 50.0])
 def test_state_overflow_raises_numerics_error(tau):
     c = cfg_for(G=1e308, tau=tau)
-    mask = make_input_mask(50, 0)
     u = np.random.default_rng(3).uniform(0, 0.5, 40)
     with pytest.raises(NumericsError, match="finite"):
-        run_reservoir(u, c, mask)
+        run_reservoir(u, c)
     with pytest.raises(NumericsError, match="finite"):
-        run_reservoir_rows([u, u[:30]], c, mask)
+        run_reservoir_rows([u, u[:30]], c)
 
 
 def test_stream_size_is_checked_before_allocation(monkeypatch):
-    from delayrc import _backend
+    from delayrc import _backend, reservoir
 
     def refuse(*args, **kwargs):
         raise AssertionError("ran past the size bound")
     monkeypatch.setattr(_backend, "evolve_samples", refuse)
+    monkeypatch.setattr(reservoir, "make_input_mask", refuse)
     k = 10 ** 6
     c = cfg_for(k=k, tau=float(k))
-    mask = InputMask(np.zeros(k), 0)
     n = MAX_STREAM_SAMPLES // k
     with pytest.raises(ConfigurationError, match="more than"):
-        run_reservoir(np.zeros(n + 1), c, mask)
+        run_reservoir(np.zeros(n + 1), c)
     # each stream is within the bound, the two together are not
     with pytest.raises(ConfigurationError, match="lockstep group"):
-        run_reservoir_rows([np.zeros(n // 2 + 1)] * 2, c, mask)
+        run_reservoir_rows([np.zeros(n // 2 + 1)] * 2, c)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
@@ -558,7 +545,7 @@ def test_backends_agree_bitwise():
     rng = np.random.default_rng(12)
     mask = make_input_mask(7, 2)
     us, padded = _ragged_rows(rng, 3, 7)
-    held = _kernels.HeldInput(padded, mask.values)
+    held = _kernels.HeldInput(padded, mask)
     for d in (1, 14, 50, 333):
         hist = rng.uniform(0, 1, (3, d))
         params = (d, 1.1, 0.983, 0.85, 0.9, 0.63, hist)
