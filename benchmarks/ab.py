@@ -47,7 +47,10 @@ Usage:
   python3 benchmarks/ab.py capture FILE.npz -- CLI_ARGS...
 
 PARENT and CHANGE are git revisions of this repository (`git stash create`
-names the working tree's tracked files as one).
+names the working tree's tracked files as one). To time one tree, give
+the same revision twice (calls HEAD HEAD --stmt ...): each side runs its
+own export of it, so the change/parent ratios read the round-to-round
+spread, and `out` must come out bitwise.
 """
 
 import argparse

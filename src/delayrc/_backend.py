@@ -13,8 +13,8 @@ path cuts narrow rows into time segments that run as lockstep rows and
 are kept only where they merge bit for bit with a run from the exact
 history, and runs each chunk as a block recursion of d x rows entries per
 round of numpy calls (see _kernels). Both backends produce
-bitwise-identical results; the flag only trades compile latency against
-throughput. See benchmarks/bench_kernels.py.
+bitwise-identical results, which tests/test_reservoir.py asserts; the
+flag only trades compile latency against throughput.
 """
 
 import os

@@ -368,8 +368,7 @@ class SweepRow:
 # five default sine_square seeds (474k-544k samples, 3.8-4.4 MB each) run
 # as 3 + 2. More rows run faster per row, but each adds its states to the
 # sweep's peak memory: with three, a default sweep peaks at 75.5 MB
-# against 71.0 MB one row at a time (2-core x86 host; BENCH_6.json;
-# benchmarks/bench_kernels.py --section lockstep prints the groups)
+# against 71.0 MB one row at a time (2-core x86 host; BENCH_6.json)
 _LOCKSTEP_BYTES = 16 * 2**20
 
 
@@ -453,6 +452,39 @@ def _trial_record(t: Trial) -> dict:
             "wall_time": t.wall_time}
 
 
+def _finite(v) -> bool:
+    return type(v) is float and math.isfinite(v)
+
+
+def _trial(rec) -> Trial:
+    """The Trial of a study-file record, which must hold what _trial_record
+    writes: int trial_id and seed, the five DIMS as finite floats, status
+    "ok" with a finite loss or "failed:..." with none, and a finite
+    wall_time. Anything else raises ValueError naming it."""
+    if not isinstance(rec, dict) or rec.get("record") != "trial":
+        raise ValueError("not a trial record")
+    if set(rec) != set(_trial_record(Trial(0, {}, None, 0))):
+        raise ValueError(f"a trial record holds keys {sorted(rec)}")
+    for name in ("trial_id", "seed"):
+        if type(rec[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {rec[name]!r}")
+    params, loss, status = rec["params"], rec["loss"], rec["status"]
+    if not (isinstance(params, dict) and set(params) == set(DIMS)
+            and all(map(_finite, params.values()))):
+        raise ValueError(f"params must hold {', '.join(DIMS)} as finite "
+                         f"floats, got {params!r}")
+    if not (status == "ok" and _finite(loss)
+            or isinstance(status, str) and status.startswith("failed:")
+            and loss is None):
+        raise ValueError(f"status {status!r} with loss {loss!r}: an ok "
+                         "trial has a finite loss, a failed one none")
+    if not _finite(rec["wall_time"]):
+        raise ValueError(f"wall_time must be a finite float, got "
+                         f"{rec['wall_time']!r}")
+    return Trial(trial_id=rec["trial_id"], params=params, loss=loss,
+                 seed=rec["seed"], status=status, wall_time=rec["wall_time"])
+
+
 def save_study(study: Study, path):
     """Line-delimited persistence: one header record, then one trial per
     line in trial-id order. Written through write_atomic, so a crash
@@ -476,18 +508,20 @@ def _append_trial(path, t: Trial):
 def load_study(path) -> Study:
     """Read a study file. A torn final trial line (one cut short by a crash
     during an append) is dropped: suggestions are keyed by trial id, so
-    that trial runs again with the same result. Any other unreadable line
-    raises ConfigurationError."""
+    that trial runs again with the same result. Any other unreadable line,
+    or a trial record that holds other than what save_study writes,
+    raises ConfigurationError naming the line."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
     if len(lines) > 1 and not text.endswith("\n"):
         lines.pop()
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
     if not lines:
         raise ConfigurationError(f"empty study file: {path}")
+    n = lines[0][0]
     try:
-        head = json.loads(lines[0])
+        head = json.loads(lines[0][1])
         if head.get("record") != "header":
             raise ConfigurationError(f"{path} does not start with a study header")
         if head.get("format_version") != _FORMAT_VERSION:
@@ -496,19 +530,14 @@ def load_study(path) -> Study:
         study = Study(space=SearchSpace.from_dict(head["space"]),
                       objective=head["objective"],
                       sampler_seed=head["sampler_seed"])
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            if rec.get("record") != "trial":
-                raise ConfigurationError("unexpected record in study file")
-            study.trials.append(Trial(
-                trial_id=rec["trial_id"], params=rec["params"],
-                loss=rec["loss"], seed=rec["seed"], status=rec["status"],
-                wall_time=rec["wall_time"]))
+        for n, ln in lines[1:]:
+            study.trials.append(_trial(json.loads(ln)))
     except ConfigurationError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigurationError(
-            f"corrupt study file {path}: {type(exc).__name__}: {exc}") from None
+            f"corrupt study file {path}, line {n}: {type(exc).__name__}: "
+            f"{exc}") from None
     expected = list(range(len(study.trials)))
     if [t.trial_id for t in study.trials] != expected:
         raise ConfigurationError(f"study file {path} has non-contiguous trial ids")

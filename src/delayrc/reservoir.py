@@ -19,6 +19,7 @@ cycle-to-cycle coupling matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,7 @@ class ReservoirConfig:
             raise ConfigurationError(f"rho must be nonnegative, got {self.rho}")
         if not self.G > 0:
             raise ConfigurationError(f"G must be positive, got {self.G}")
-        if not 0 <= self.mask_seed < 2**128:
-            raise ConfigurationError(
-                f"mask_seed must be in [0, 2**128), got {self.mask_seed}")
+        _check_mask_seed(self.mask_seed)
 
     @property
     def T(self) -> float:
@@ -82,11 +81,25 @@ class ReservoirConfig:
         return cls(k=k, rho=rho, G=G, Phi0=Phi0, tau=tau_over_T * k, **kw)
 
 
+def _check_mask_seed(seed):
+    """Refuse a seed Philox would not take as its key unchanged: Philox
+    truncates a fractional seed, and takes keys in [0, 2**128) only."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(
+            f"mask_seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 2**128:
+        raise ConfigurationError(
+            f"mask_seed must be in [0, 2**128), got {seed}")
+
+
 def make_input_mask(k: int, seed: int) -> np.ndarray:
     """k uniform draws on [-1, 1] from a counter-based generator (Philox),
     so the mask is a pure function of (k, seed) on any platform."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
+    _check_mask_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, k)
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 import io
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -212,3 +214,29 @@ def test_calls_compares_array_outputs_by_their_bits():
         _forget_trees()
     assert orbit["bitwise"] is True and nan["bitwise"] is True
     assert zero["bitwise"] is False and dtype["bitwise"] is False
+
+
+def test_calls_times_one_revision_exported_twice(tmp_path, monkeypatch):
+    # `ab.py calls REV REV` times one tree: the revision is exported once
+    # per side, and both copies compute the same bits
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(repo), "-c", "user.name=ab", "-c",
+           "user.email=ab@localhost", "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "t"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
+    monkeypatch.setattr(ab, "ROOT", repo)
+    out = tmp_path / "calls.json"
+    setup = ("import numpy as np; cfg = pkg.reservoir.ReservoirConfig."
+             "from_ratio(k=20, rho=0.5, G=0.9, Phi0=0.2, tau_over_T=0.6)")
+    try:
+        assert ab.main(["calls", "HEAD", "HEAD", "--rounds", "2",
+                        "--setup", setup, "--out", str(out), "--stmt",
+                        "out = pkg.reservoir.run_reservoir("
+                        "np.linspace(-1, 1, 40), cfg)"]) == 0
+    finally:
+        _forget_trees()
+    section = json.loads(out.read_text())
+    assert section["bitwise"] is True
+    assert len(section["parent_s"]) == len(section["change_s"]) == 2

@@ -656,6 +656,38 @@ def test_optimize_resumes_torn_study_file(run_cli):
     assert "corrupt study file" in err
 
 
+@pytest.mark.parametrize("damage", [
+    lambda r: r.update(loss=None),
+    lambda r: r.update(loss="0.5"),
+    lambda r: r.update(status=5),
+    lambda r: r.update(status="failed:ValueError: boom"),
+    lambda r: r["params"].pop("G"),
+    lambda r: r["params"].update(G="x"),
+    lambda r: r["params"].update(G=float("inf")),
+    lambda r: r["params"].update(x_b=0.5),
+    lambda r: r.update(trial_id=0.0),
+    lambda r: r.update(seed=1.5),
+    lambda r: r.update(wall_time=float("nan")),
+    lambda r: r.update(extra=1),
+], ids=["ok-without-loss", "string-loss", "int-status", "failed-with-loss",
+        "no-G", "string-G", "infinite-G", "sixth-param", "float-trial-id",
+        "float-seed", "nan-wall-time", "extra-key"])
+def test_optimize_refuses_a_damaged_trial_record(run_cli, damage):
+    args = ["optimize", "optimize.n_startup=2", "optimize.budget=3"] + FAST_SS
+    code, _, _, outdir = run_cli(args)
+    assert code == 0
+    path = outdir / "study.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["status"] == "ok"
+    damage(record)
+    lines[1] = json.dumps(record)   # a nan is written as NaN, which json reads
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err, _ = run_cli(args)
+    assert code == 2, err
+    assert f"corrupt study file {path}, line 2" in err
+
+
 def test_unparseable_flag_exits_2(run_cli, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--bogus-flag"])

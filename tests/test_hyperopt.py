@@ -189,6 +189,25 @@ def test_study_roundtrip(tmp_path):
         assert a.status == b.status
 
 
+def test_saved_study_reloads_to_the_same_bytes(tmp_path):
+    # failed trials and recorded wall times pass load_study's record checks
+    def explosive(params):
+        if params["rho"] > 0.5:
+            raise ValueError("boom")
+        return params["rho"]
+
+    study = Study(space=SearchSpace(), sampler_seed=1, objective={
+        "sampler": "random", "n_startup": 20, "gamma": 0.25,
+        "n_candidates": 24})
+    hyperopt._search(study, explosive, 12, record_timing=True)
+    assert {t.ok for t in study.trials} == {True, False}
+    assert all(t.wall_time > 0 for t in study.trials)
+    path, again = tmp_path / "s.jsonl", tmp_path / "again.jsonl"
+    save_study(study, path)
+    save_study(load_study(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_study_file_is_stable_jsonl(tmp_path):
     study = search(quad_objective, SearchSpace(), 3, seed=0)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -503,6 +522,20 @@ def test_resonance_sweep_runs_ragged_seeds_in_lockstep(monkeypatch,
             for r in range(5)])
         assert row.nmse_mean == float(losses.mean())
         assert row.nmse_std == float(losses.std())
+
+
+def test_default_sine_square_seeds_run_in_groups_of_three_and_two():
+    # under the real _LOCKSTEP_BYTES: the five default seeds run as 3 + 2,
+    # and a sweep's three repeats (perfbench's sine_square-sweep) as one
+    # group
+    t, _, data = pipeline.task_setup("sine_square")
+    first = pipeline.SEED_DEFAULTS["data"]
+
+    def sizes(repeats):
+        seeds = range(first, first + repeats)
+        return [len(g) for g in hyperopt._lockstep_groups(data, seeds, t["k"])]
+    assert sizes(5) == [3, 2]
+    assert sizes(3) == [3]
 
 
 def test_resonance_sweep_collapses_colliding_ratios():

@@ -81,6 +81,20 @@ def test_config_validation():
             cfg_for(mask_seed=seed)
 
 
+def test_mask_seed_must_be_an_integer():
+    # Philox truncates a fractional key: 0.5 would draw seed 0's mask
+    for seed in (0.5, 1.7, 2.0, np.float64(3.0), "1"):
+        with pytest.raises(ConfigurationError, match="mask_seed"):
+            cfg_for(mask_seed=seed)
+        with pytest.raises(ConfigurationError, match="mask_seed"):
+            make_input_mask(5, seed)
+    # numpy integers key Philox as the int of the same value does
+    for seed in (np.int64(5), np.uint64(2**64 - 1)):
+        assert cfg_for(mask_seed=seed).mask_seed == seed
+        assert (make_input_mask(5, seed).tobytes()
+                == make_input_mask(5, int(seed)).tobytes())
+
+
 # ---------------------------------------------------------------- states
 
 def test_constant_state_without_feedback_or_input():
