@@ -316,6 +316,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.mode == "calls" and not args.stmt:
         ap.error("calls mode needs --stmt")
+    for flag in ("pairs", "rounds"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {}
         for side in SIDES:

@@ -1,4 +1,5 @@
-"""Deterministic CSV writing shared by the emitters.
+"""File I/O shared by the package: deterministic CSV writing for the
+emitters, and UTF-8 text reading for the input files.
 
 Floats are rendered with repr (shortest round-trip form) so identical runs
 produce byte-identical files on any platform with IEEE-754 doubles. Every
@@ -51,6 +52,16 @@ def write_atomic(path, fill):
     finally:
         if os.path.exists(tmp):  # left behind only when writing failed
             os.unlink(tmp)
+
+
+def read_text(path, error):
+    """The text of the UTF-8 file at path. Bytes that are not UTF-8 raise
+    error (an exception class) naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def write_csv(path, header, rows, comment=None):

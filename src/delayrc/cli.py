@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, hyperopt, pipeline, tasks
-from ._csvio import fmt, write_atomic, write_csv
+from ._csvio import fmt, read_text, write_atomic, write_csv
 from .exceptions import ConfigurationError, DataFormatError, DelayRCError
 
 __all__ = ["main", "entrypoint"]
@@ -155,16 +155,16 @@ def _load_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+    text = read_text(path, ConfigurationError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        out[key.strip()] = val.strip()
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
-from ._csvio import write_atomic
+from ._csvio import read_text, write_atomic
 from .exceptions import ConfigurationError
 
 __all__ = [
@@ -98,7 +98,6 @@ class Trial:
     trial_id: int
     params: dict
     loss: float | None
-    seed: int
     status: str = "ok"
     wall_time: float = 0.0
 
@@ -110,9 +109,12 @@ class Trial:
 @dataclass
 class Study:
     space: SearchSpace
-    objective: dict
-    sampler_seed: int
+    objective: dict             # the header: task, seeds, sampler, options
     trials: list = field(default_factory=list)
+
+    @property
+    def sampler_seed(self) -> int:
+        return self.objective["seeds"]["sampler"]
 
     def ok_trials(self) -> list:
         return [t for t in self.trials if t.ok]
@@ -123,7 +125,7 @@ class Study:
         return min(ok, key=lambda t: t.loss) if ok else None
 
 
-def _run_objective(objective, params, trial_id, seed, record_timing):
+def _run_objective(objective, params, trial_id, record_timing):
     t0 = time.perf_counter() if record_timing else 0.0
     try:
         loss = float(objective(params))
@@ -135,8 +137,8 @@ def _run_objective(objective, params, trial_id, seed, record_timing):
     except Exception as exc:  # recorded, never aborts the study
         loss, status = None, f"failed:{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0 if record_timing else 0.0
-    return Trial(trial_id=trial_id, params=params, loss=loss, seed=seed,
-                 status=status, wall_time=wall)
+    return Trial(trial_id=trial_id, params=params, loss=loss, status=status,
+                 wall_time=wall)
 
 
 def _kde_logpdf(x, centers, bw):
@@ -172,7 +174,7 @@ def tpe_suggest(study: Study, gamma: float = 0.25, n_candidates: int = 24,
     """
     _check_tpe_options(n_startup, gamma, n_candidates)
     rng = np.random.default_rng() if rng is None else rng
-    ok = [t for t in study.trials if t.ok and t.loss is not None]
+    ok = study.ok_trials()
     if len(ok) < n_startup:
         return study.space.sample(rng)
     losses = np.array([t.loss for t in ok])
@@ -236,7 +238,7 @@ def _search(study: Study, objective, budget: int,
     as an uninterrupted run would."""
     for i in range(len(study.trials), budget):
         params = _suggest(study, i)
-        t = _run_objective(objective, params, i, i, record_timing)
+        t = _run_objective(objective, params, i, record_timing)
         study.trials.append(t)
         if path is not None:
             _append_trial(path, t)
@@ -262,17 +264,17 @@ def run_study(task: str, template: dict | None = None,
     its delay below one sample, could only fail every trial. So could one
     whose shortest delay is longer than the stream, or whose washout
     leaves one side of the split no scoring step: both are checked on the
-    study's data, built once through the data function the trials use, so
-    trial 0 reuses it. All of these are refused before the lock. If path
-    exists the study found there is continued up to the requested budget
-    (deterministically identical to an uninterrupted run), 1 to
-    MAX_BUDGET trials. The study is written to path once, whole, when it
-    opens, so a file torn by a crash is mended before any append. While
-    it runs, the study holds a lock on the directory of path, and a
-    second study on that directory raises ConfigurationError instead of
-    interleaving its appends. on_open, if given, is called with no
-    arguments once the lock is held and the setup checked, before the
-    first trial runs.
+    study's data. That data is built once, through task_setup's data
+    function, and every trial is scored on it. All of these are refused
+    before the lock. If path exists the study found there is continued
+    up to the requested budget (deterministically identical to an
+    uninterrupted run), 1 to MAX_BUDGET trials. The study is written to
+    path once, whole, when it opens, so a file torn by a crash is mended
+    before any append. While it runs, the study holds a lock on the
+    directory of path, and a second study on that directory raises
+    ConfigurationError instead of interleaving its appends. on_open, if
+    given, is called with no arguments once the lock is held and the
+    setup checked, before the first trial runs.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigurationError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
@@ -289,8 +291,8 @@ def run_study(task: str, template: dict | None = None,
         raise ConfigurationError(
             f"tau_over_T up to {space.tau_over_T[1]!r} rounds to sample "
             f"delay {top.sample_delay} < 1 at k={top.k}: every trial would fail")
-    eval_fn = pipeline.make_eval(task, template, seeds["mask"], task_options)
-    series, split = eval_fn.data(seeds["data"])
+    t, o, data = pipeline.task_setup(task, template, task_options)
+    series, split = data(seeds["data"])
     # trial delays round from tau_over_T * k samples (theta = 1), none below
     # the lower bound's; that bound may be 0, which builds no config
     shortest = round(space.tau_over_T[0] * top.k)
@@ -300,7 +302,12 @@ def run_study(task: str, template: dict | None = None,
             f"of {shortest} or more, longer than the stream "
             f"({series.n_steps} cycles of k={top.k} samples): every trial "
             f"would fail")
-    pipeline.scoring_masks(series, split, eval_fn.washout)
+    pipeline.scoring_masks(series, split, o["washout"])
+
+    def objective(params):
+        cfg = pipeline.reservoir_config(t, params, seeds["mask"])
+        return pipeline.evaluate_series(series, cfg, params["lam"], split,
+                                        o["washout"], t["add_bias"]).nmse_test
 
     descriptor = {"task": task, "template": template, "seeds": seeds,
                   "sampler": sampler, "n_startup": n_startup, "gamma": gamma,
@@ -315,15 +322,13 @@ def run_study(task: str, template: dict | None = None,
                 raise ConfigurationError(
                     f"existing study at {path} was run with a different setup")
         else:
-            study = Study(space=space, objective=descriptor,
-                          sampler_seed=seeds["sampler"])
+            study = Study(space=space, objective=descriptor)
         if path is not None:
             save_study(study, path)
         if on_open is not None:
             on_open()
-        return _search(
-            study, lambda params: eval_fn(params, seeds["data"]).nmse_test,
-            budget, record_timing=record_timing, path=path)
+        return _search(study, objective, budget, record_timing=record_timing,
+                       path=path)
 
 
 @contextlib.contextmanager
@@ -447,8 +452,9 @@ def _json(obj) -> str:
 
 
 def _trial_record(t: Trial) -> dict:
+    # "seed" is the trial id, kept so that study files keep their bytes
     return {"record": "trial", "trial_id": t.trial_id, "params": t.params,
-            "loss": t.loss, "seed": t.seed, "status": t.status,
+            "loss": t.loss, "seed": t.trial_id, "status": t.status,
             "wall_time": t.wall_time}
 
 
@@ -458,16 +464,18 @@ def _finite(v) -> bool:
 
 def _trial(rec) -> Trial:
     """The Trial of a study-file record, which must hold what _trial_record
-    writes: int trial_id and seed, the five DIMS as finite floats, status
-    "ok" with a finite loss or "failed:..." with none, and a finite
-    wall_time. Anything else raises ValueError naming it."""
+    writes: an int trial_id and a seed equal to it, the five DIMS as
+    finite floats, status "ok" with a finite loss or "failed:..." with
+    none, and a finite wall_time. Anything else raises ValueError naming
+    it."""
     if not isinstance(rec, dict) or rec.get("record") != "trial":
         raise ValueError("not a trial record")
-    if set(rec) != set(_trial_record(Trial(0, {}, None, 0))):
+    if set(rec) != set(_trial_record(Trial(0, {}, None))):
         raise ValueError(f"a trial record holds keys {sorted(rec)}")
-    for name in ("trial_id", "seed"):
-        if type(rec[name]) is not int:
-            raise ValueError(f"{name} must be an integer, got {rec[name]!r}")
+    if type(rec["trial_id"]) is not int:
+        raise ValueError(f"trial_id must be an integer, got {rec['trial_id']!r}")
+    if type(rec["seed"]) is not int or rec["seed"] != rec["trial_id"]:
+        raise ValueError(f"seed must equal trial_id, got {rec['seed']!r}")
     params, loss, status = rec["params"], rec["loss"], rec["status"]
     if not (isinstance(params, dict) and set(params) == set(DIMS)
             and all(map(_finite, params.values()))):
@@ -482,7 +490,7 @@ def _trial(rec) -> Trial:
         raise ValueError(f"wall_time must be a finite float, got "
                          f"{rec['wall_time']!r}")
     return Trial(trial_id=rec["trial_id"], params=params, loss=loss,
-                 seed=rec["seed"], status=status, wall_time=rec["wall_time"])
+                 status=status, wall_time=rec["wall_time"])
 
 
 def save_study(study: Study, path):
@@ -508,11 +516,11 @@ def _append_trial(path, t: Trial):
 def load_study(path) -> Study:
     """Read a study file. A torn final trial line (one cut short by a crash
     during an append) is dropped: suggestions are keyed by trial id, so
-    that trial runs again with the same result. Any other unreadable line,
-    or a trial record that holds other than what save_study writes,
-    raises ConfigurationError naming the line."""
-    with open(path) as fh:
-        text = fh.read()
+    that trial runs again with the same result. Bytes that are not UTF-8,
+    any other unreadable line, a header whose sampler_seed is not the int
+    of its objective's seeds, or a trial record that holds other than what
+    save_study writes raise ConfigurationError naming the file."""
+    text = read_text(path, ConfigurationError)
     lines = text.splitlines()
     if len(lines) > 1 and not text.endswith("\n"):
         lines.pop()
@@ -528,8 +536,11 @@ def load_study(path) -> Study:
             raise ConfigurationError(f"{path} is not a version "
                                      f"{_FORMAT_VERSION} study file")
         study = Study(space=SearchSpace.from_dict(head["space"]),
-                      objective=head["objective"],
-                      sampler_seed=head["sampler_seed"])
+                      objective=head["objective"])
+        seed = head["sampler_seed"]
+        if type(seed) is not int or seed != study.sampler_seed:
+            raise ValueError(f"sampler_seed {seed!r} is not the objective's "
+                             f"sampler seed {study.sampler_seed!r}")
         for n, ln in lines[1:]:
             study.trials.append(_trial(json.loads(ln)))
     except ConfigurationError:

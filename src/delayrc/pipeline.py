@@ -6,7 +6,6 @@ their train/test bookkeeping live in exactly one place."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,26 +117,14 @@ def fit_and_score(X, series: LabeledSeries, cfg: ReservoirConfig, lam: float,
         wer=wer, weights=w, y_hat=y_hat, series=series, split=split, cfg=cfg)
 
 
-def _last_seed_cached(data):
-    """Wrap data(seed) to keep the (series, split) of the last seed asked
-    for. A study holds one data seed, so it builds its series once; one
-    entry bounds what a sweep over many seeds keeps. Every call on that
-    seed shares the arrays, so they are made read-only."""
-    @functools.lru_cache(maxsize=1)
-    def cached(seed):
-        series, split = data(seed)
-        for a in (series.u, series.y, split.train.steps, split.test.steps):
-            a.setflags(write=False)
-        return series, split
-    return cached
-
-
 def task_setup(task: str, template: dict | None = None,
                options: dict | None = None):
     """(template, options, data(seed)) of a benchmark id: template and
     options override TEMPLATE_DEFAULTS and the task's TASK_DEFAULTS entry.
     The washout and the stream size (against MAX_STREAM_SAMPLES) are
-    checked before any data is built; data(seed) is _last_seed_cached."""
+    checked before any data is built; data(seed) builds the (series,
+    split) of its seed on each call, so a caller that needs one seed
+    many times, as a study does, builds it once and keeps it."""
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"unknown task {task!r}, expected one of {TASK_IDS}")
     t = {**TEMPLATE_DEFAULTS, **(template or {})}
@@ -145,7 +132,7 @@ def task_setup(task: str, template: dict | None = None,
     if o["washout"] < 0:
         raise ConfigurationError(f"washout must be >= 0, got {o['washout']}")
     check_stream_samples(tasks.max_cycles(task, o) * t["k"], f"task {task}")
-    return t, o, _last_seed_cached(tasks.task_data(task, o))
+    return t, o, tasks.task_data(task, o)
 
 
 def reservoir_config(t: dict, params: dict, mask_seed: int) -> ReservoirConfig:
@@ -162,9 +149,8 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
 
     params carries the five tunables: rho, G, Phi0, tau_over_T, lam.
     template and options override TEMPLATE_DEFAULTS and the task's
-    TASK_DEFAULTS entry; the data is task_setup's. eval_fn.data is that
-    data(seed) and eval_fn.washout the part washout, so a caller can check
-    the data before it evaluates, without building it twice.
+    TASK_DEFAULTS entry; each call builds its data seed's (series, split)
+    through task_setup's data function.
     """
     t, o, data = task_setup(task, template, options)
 
@@ -174,5 +160,4 @@ def make_eval(task: str, template: dict | None = None, mask_seed: int = 0,
         return evaluate_series(series, cfg, params["lam"], split,
                                part_washout=o["washout"],
                                add_bias=t["add_bias"])
-    eval_fn.data, eval_fn.washout = data, o["washout"]
     return eval_fn

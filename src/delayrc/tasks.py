@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._csvio import read_text
 from .exceptions import ConfigurationError, DataFormatError, NumericsError
 
 __all__ = [
@@ -181,23 +182,23 @@ SYNTHETIC_FRAMES = (12, 26)
 def _parse_blocks(path):
     """Blank-line separated blocks of whitespace rows, 12 floats each."""
     sequences, frames = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                if frames:
-                    sequences.append((np.array(frames), lineno))
-                    frames = []
-                continue
-            cols = line.split()
-            if len(cols) != N_VOWEL_CHANNELS:
-                raise DataFormatError(
-                    f"expected {N_VOWEL_CHANNELS} columns, got {len(cols)}",
-                    line=lineno)
-            try:
-                frames.append([float(c) for c in cols])
-            except ValueError:
-                raise DataFormatError("non-numeric value", line=lineno) from None
+    text = read_text(path, DataFormatError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            if frames:
+                sequences.append((np.array(frames), lineno))
+                frames = []
+            continue
+        cols = line.split()
+        if len(cols) != N_VOWEL_CHANNELS:
+            raise DataFormatError(
+                f"expected {N_VOWEL_CHANNELS} columns, got {len(cols)}",
+                line=lineno)
+        try:
+            frames.append([float(c) for c in cols])
+        except ValueError:
+            raise DataFormatError("non-numeric value", line=lineno) from None
     if frames:
         sequences.append((np.array(frames), lineno))
     return sequences
@@ -222,8 +223,9 @@ def load_japanese_vowels(path) -> list[SequenceSample]:
 
     path is a directory holding ae.train and ae.test. Speaker labels come
     from the documented per-speaker block counts; a counts.json sidecar
-    ({"train": [...], "test": [...]}) overrides them. Channels are
-    standardized to zero mean, unit variance using training statistics.
+    ({"train": [...], "test": [...]}, lists of non-negative ints, either
+    key optional) overrides them. Channels are standardized to zero mean,
+    unit variance using training statistics.
     """
     train_file = os.path.join(path, "ae.train")
     test_file = os.path.join(path, "ae.test")
@@ -233,8 +235,17 @@ def load_japanese_vowels(path) -> list[SequenceSample]:
     tr_counts, te_counts = TRAIN_COUNTS, TEST_COUNTS
     sidecar = os.path.join(path, "counts.json")
     if os.path.isfile(sidecar):
-        with open(sidecar) as fh:
-            man = json.load(fh)
+        try:
+            man = json.loads(read_text(sidecar, DataFormatError))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{sidecar} is not JSON: {exc}") from None
+        ok = isinstance(man, dict) and all(
+            isinstance(v, list) and all(type(c) is int and c >= 0 for c in v)
+            for v in (man.get("train", []), man.get("test", [])))
+        if not ok:
+            raise DataFormatError(
+                f"{sidecar} must hold an object whose train and test "
+                f"entries are lists of non-negative ints")
         tr_counts = tuple(man.get("train", tr_counts))
         te_counts = tuple(man.get("test", te_counts))
     samples = _assign_labels(_parse_blocks(train_file), tr_counts, "train",
@@ -419,19 +430,19 @@ def task_data(task: str, o: dict):
     blocks, both seeded by the data seed. The vowel utterances are read or
     generated here, split by their tags, and the seed is ignored."""
     if task == "sine_square":
-        def data(seed):
+        def data(data_seed):
             series = gen_sine_square(
                 o["n_waveforms"], o["samples_per_period"],
-                o["periods_per_waveform"], seed=seed)
-            return series, split_train_test(series, o["fraction"], seed=seed,
-                                            unit="segment")
+                o["periods_per_waveform"], seed=data_seed)
+            return series, split_train_test(series, o["fraction"],
+                                            seed=data_seed, unit="segment")
         return data
 
     if task == "narma10":
-        def data(seed):
-            series = gen_narma10(o["length"], seed=seed)
-            return series, split_train_test(series, o["fraction"], seed=seed,
-                                            unit="step-block")
+        def data(data_seed):
+            series = gen_narma10(o["length"], seed=data_seed)
+            return series, split_train_test(series, o["fraction"],
+                                            seed=data_seed, unit="step-block")
         return data
 
     if o["path"]:

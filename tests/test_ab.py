@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
@@ -240,3 +242,21 @@ def test_calls_times_one_revision_exported_twice(tmp_path, monkeypatch):
     section = json.loads(out.read_text())
     assert section["bitwise"] is True
     assert len(section["parent_s"]) == len(section["change_s"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["perfbench", "HEAD", "HEAD", "--pairs", "0"],
+    ["calls", "HEAD", "HEAD", "--stmt", "pass", "--rounds", "0"],
+    ["calls", "HEAD", "HEAD", "--stmt", "pass", "--rounds", "-3"],
+])
+def test_fewer_than_one_pair_or_round_is_a_usage_error(monkeypatch, capsys,
+                                                       argv):
+    # refused before either tree is exported: no median of no runs
+    def refuse(rev, dest):
+        raise AssertionError("exported a tree for an empty comparison")
+    monkeypatch.setattr(ab, "export", refuse)
+    with pytest.raises(SystemExit) as exc:
+        ab.main(argv)
+    assert exc.value.code == 2
+    flag = argv[-2]
+    assert f"{flag} must be at least 1" in capsys.readouterr().err

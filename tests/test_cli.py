@@ -667,11 +667,12 @@ def test_optimize_resumes_torn_study_file(run_cli):
     lambda r: r["params"].update(x_b=0.5),
     lambda r: r.update(trial_id=0.0),
     lambda r: r.update(seed=1.5),
+    lambda r: r.update(seed=r["trial_id"] + 1),
     lambda r: r.update(wall_time=float("nan")),
     lambda r: r.update(extra=1),
 ], ids=["ok-without-loss", "string-loss", "int-status", "failed-with-loss",
         "no-G", "string-G", "infinite-G", "sixth-param", "float-trial-id",
-        "float-seed", "nan-wall-time", "extra-key"])
+        "float-seed", "seed-not-trial-id", "nan-wall-time", "extra-key"])
 def test_optimize_refuses_a_damaged_trial_record(run_cli, damage):
     args = ["optimize", "optimize.n_startup=2", "optimize.budget=3"] + FAST_SS
     code, _, _, outdir = run_cli(args)
@@ -686,6 +687,52 @@ def test_optimize_refuses_a_damaged_trial_record(run_cli, damage):
     code, _, err, _ = run_cli(args)
     assert code == 2, err
     assert f"corrupt study file {path}, line 2" in err
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, None, 7])
+def test_optimize_refuses_a_header_sampler_seed_not_its_objectives(run_cli,
+                                                                   seed):
+    # the header's sampler_seed copies the objective's seeds.sampler; a
+    # copy that differs would draw the resumed trials from another seed
+    args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
+    code, _, _, outdir = run_cli(args)
+    assert code == 0
+    path = outdir / "study.jsonl"
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    assert head["sampler_seed"] == head["objective"]["seeds"]["sampler"] == 0
+    head["sampler_seed"] = seed
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
+    assert code == 2, err
+    assert f"corrupt study file {path}, line 1" in err
+
+
+@pytest.mark.parametrize("where", ["config", "study", "vowels"])
+def test_non_utf8_input_exits_2_naming_the_file(run_cli, tmp_path, where):
+    if where == "config":
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"task=sine_square\nreservoir.rho=0.1\xff\n")
+        argv = ["run", "--config", str(path)] + FAST_SS
+    elif where == "study":
+        argv = ["optimize", "optimize.n_startup=2", "optimize.budget=2"]
+        code, _, _, outdir = run_cli(argv + FAST_SS)
+        assert code == 0
+        path = outdir / "study.jsonl"
+        path.write_bytes(path.read_bytes().replace(b'"ok"', b'"ok\xe9"', 1))
+        argv = argv[:2] + ["optimize.budget=3"] + FAST_SS
+    else:
+        path = tmp_path / "vowels" / "ae.train"
+        path.parent.mkdir()
+        row = " ".join(["0.1"] * 12) + "\n"
+        path.write_bytes(b"\xff" + row.encode())
+        (path.parent / "ae.test").write_text(row)
+        argv = ["run", "task=vowels", f"task.path={path.parent}"]
+    code, _, err, _ = run_cli(argv)
+    assert code == 2, err
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+    assert "Traceback" not in err
 
 
 def test_unparseable_flag_exits_2(run_cli, capsys):

@@ -33,16 +33,16 @@ def quad_objective(params):
 
 
 def search(objective, space, n_trials, seed=0, sampler="random"):
-    # the study driver behind run_study, on a plain objective; the sampler
-    # and its options are read from the study's header
-    study = Study(space=space, sampler_seed=seed, objective={
-        "sampler": sampler, "n_startup": 20, "gamma": 0.25,
-        "n_candidates": 24})
+    # the study driver behind run_study, on a plain objective; the sampler,
+    # its seed and its options are read from the study's header
+    study = Study(space=space, objective={
+        "seeds": {"sampler": seed}, "sampler": sampler, "n_startup": 20,
+        "gamma": 0.25, "n_candidates": 24})
     return hyperopt._search(study, objective, n_trials)
 
 
 def history(space, trials):
-    return Study(space=space, objective={}, sampler_seed=0, trials=trials)
+    return Study(space=space, objective={}, trials=trials)
 
 
 # ------------------------------------------------------------------ space
@@ -111,7 +111,7 @@ def test_random_search_is_deterministic():
 
 def test_tpe_falls_back_to_uniform_on_short_history():
     space = SearchSpace()
-    hist = [Trial(i, space.sample(np.random.default_rng(i)), float(i), i)
+    hist = [Trial(i, space.sample(np.random.default_rng(i)), float(i))
             for i in range(3)]
     rng = np.random.default_rng(0)
     p = tpe_suggest(history(space, hist), rng=rng)
@@ -126,7 +126,7 @@ def test_tpe_suggestions_concentrate_near_good_region():
     hist = []
     for i in range(40):
         p = space.sample(rng)
-        hist.append(Trial(i, p, quad_objective(p), i))
+        hist.append(Trial(i, p, quad_objective(p)))
     picks = [tpe_suggest(history(space, hist), rng=np.random.default_rng(s))
              for s in range(30)]
     rho = np.array([p["rho"] for p in picks])
@@ -196,9 +196,7 @@ def test_saved_study_reloads_to_the_same_bytes(tmp_path):
             raise ValueError("boom")
         return params["rho"]
 
-    study = Study(space=SearchSpace(), sampler_seed=1, objective={
-        "sampler": "random", "n_startup": 20, "gamma": 0.25,
-        "n_candidates": 24})
+    study = search(explosive, SearchSpace(), 0, seed=1)
     hyperopt._search(study, explosive, 12, record_timing=True)
     assert {t.ok for t in study.trials} == {True, False}
     assert all(t.wall_time > 0 for t in study.trials)
@@ -271,7 +269,8 @@ def test_save_study_replaces_file_whole(tmp_path):
     path = tmp_path / "s.jsonl"
     save_study(study, path)
     before = path.read_bytes()
-    study.objective = {"bad": object()}   # not serializable: fails midway
+    # not serializable: fails midway
+    study.objective = {**study.objective, "bad": object()}
     with pytest.raises(TypeError):
         save_study(study, path)
     assert path.read_bytes() == before
@@ -349,21 +348,34 @@ def test_run_study_refuses_a_locked_directory(tmp_path):
 
 def test_run_study_holds_the_lock_while_it_runs(tmp_path, monkeypatch):
     held = []
-    real = pipeline.make_eval
 
-    def make_eval(*args, **kwargs):
-        def eval_fn(params, seed):
-            held.append(_locked_elsewhere(tmp_path))
-            return SimpleNamespace(nmse_test=quad_objective(params))
-        # the study's data, which run_study checks before it takes the lock
-        checked = real(*args, **kwargs)
-        eval_fn.data, eval_fn.washout = checked.data, checked.washout
-        return eval_fn
-    monkeypatch.setattr(pipeline, "make_eval", make_eval)
+    def evaluate_series(series, cfg, lam, *args):
+        held.append(_locked_elsewhere(tmp_path))
+        return SimpleNamespace(nmse_test=lam)
+    monkeypatch.setattr(pipeline, "evaluate_series", evaluate_series)
     run_study("sine_square", budget=2, sampler="random",
               path=tmp_path / "study.jsonl")
     assert held == [True, True]
     assert not _locked_elsewhere(tmp_path)   # released when it ends
+
+
+def test_run_study_builds_its_series_once(tmp_path, monkeypatch):
+    # fresh or resumed, a study builds its data seed's series once and
+    # scores every trial on it
+    calls = []
+    real = tasks.gen_narma10
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tasks, "gen_narma10", counting)
+    kw = dict(task="narma10", sampler="random", seeds={"data": 3},
+              task_options={"length": 600, "washout": 20},
+              path=tmp_path / "study.jsonl")
+    for budget in (3, 5):
+        calls.clear()
+        assert len(run_study(budget=budget, **kw).trials) == budget
+        assert calls == [3]
 
 
 def test_run_study_rejects_mismatched_resume(tmp_path):

@@ -210,6 +210,20 @@ def test_load_vowels_count_mismatch(tmp_path):
         load_japanese_vowels(tmp_path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"train": [1, 1, 0, 0',
+    "[1, 1, 0, 0, 0, 0, 0, 0, 0]",
+    '{"train": 5}',
+    '{"test": [0, 2, -1, 1, 0, 0, 0, 0, 0]}',
+    '{"test": [0, 1, 1.0, 0, 0, 0, 0, 0, 0]}',
+], ids=["not-json", "list", "int-counts", "negative-count", "float-count"])
+def test_load_vowels_refuses_a_malformed_counts_sidecar(tmp_path, text):
+    _write_tiny_dataset(tmp_path)
+    (tmp_path / "counts.json").write_text(text)
+    with pytest.raises(DataFormatError, match="counts.json"):
+        load_japanese_vowels(tmp_path)
+
+
 def test_load_vowels_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_japanese_vowels(tmp_path)
