@@ -313,12 +313,14 @@ def run_study(task: str, template: dict | None = None,
                   "sampler": sampler, "n_startup": n_startup, "gamma": gamma,
                   "n_candidates": n_candidates,
                   "task_options": dict(task_options or {})}
-    # canonicalize through JSON so tuples compare equal after a reload
+    # canonicalize through JSON so tuples compare equal after a reload;
+    # compared as JSON text, so a 24.0 or true in a file is not a 24 or 1
     descriptor = json.loads(_json(descriptor))
     with locked_study(path):
         if path is not None and os.path.exists(path):
             study = load_study(path)
-            if study.objective != descriptor or study.space != space:
+            if (_json(study.objective) != _json(descriptor)
+                    or study.space != space):
                 raise ConfigurationError(
                     f"existing study at {path} was run with a different setup")
         else:

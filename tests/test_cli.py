@@ -709,6 +709,27 @@ def test_optimize_refuses_a_header_sampler_seed_not_its_objectives(run_cli,
     assert f"corrupt study file {path}, line 1" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_candidates", 24.0), ("sampler", 0.0),
+], ids=["float-n_candidates", "float-sampler-seed"])
+def test_optimize_refuses_a_header_objective_of_another_type(run_cli, key,
+                                                              value):
+    # 24.0 == 24 and 0.0 == 0 in Python, but neither runs as the int
+    args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
+    code, _, _, outdir = run_cli(args)
+    assert code == 0
+    path = outdir / "study.jsonl"
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    objective = head["objective"]
+    (objective["seeds"] if key == "sampler" else objective)[key] = value
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
+    assert code == 2, err
+    assert "was run with a different setup" in err
+
+
 @pytest.mark.parametrize("where", ["config", "study", "vowels"])
 def test_non_utf8_input_exits_2_naming_the_file(run_cli, tmp_path, where):
     if where == "config":
