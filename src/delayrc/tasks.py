@@ -428,7 +428,8 @@ def task_data(task: str, o: dict):
     """data(seed) -> (series, split) for benchmark task and its options o.
     A waveform series splits by whole segments, a NARMA10 series by step
     blocks, both seeded by the data seed. The vowel utterances are read or
-    generated here, split by their tags, and the seed is ignored."""
+    generated here, split by their tags, and the seed is ignored: every
+    call returns the same read-only arrays."""
     if task == "sine_square":
         def data(data_seed):
             series = gen_sine_square(
@@ -452,4 +453,7 @@ def task_data(task: str, o: dict):
                                        seed=o["synthetic_seed"])
     series = encode_multiplexed(samples, N_VOWEL_SPEAKERS)
     split = split_from_tags(series)
+    # every call hands out these arrays, so none may write to them
+    for a in (series.u, series.y, split.train.steps, split.test.steps):
+        a.setflags(write=False)
     return lambda seed: (series, split)

@@ -63,6 +63,17 @@ def test_cached_data_matches_fresh_closures():
         assert (a.nmse_train, a.nmse_test) == (b.nmse_train, b.nmse_test)
 
 
+def test_shared_vowel_data_is_read_only():
+    # the utterances are read once per evaluator and shared by every call
+    ev = make_eval("vowels", options={"n_per_class": 4, "washout": 4})
+    res = ev(PARAMS, data_seed=0)
+    assert ev(PARAMS, data_seed=1).series is res.series
+    for a in (res.series.u, res.series.y, res.split.train.steps,
+              res.split.test.steps):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_washout_larger_than_part_rejected():
     series = gen_narma10(300, seed=0)
     split = split_train_test(series, 0.5, seed=0, unit="step-block")
