@@ -689,9 +689,16 @@ def test_optimize_refuses_a_damaged_trial_record(run_cli, damage):
     assert f"corrupt study file {path}, line 2" in err
 
 
-@pytest.mark.parametrize("seed", ["x", 1.5, -1, None, 7])
-def test_optimize_refuses_a_header_sampler_seed_not_its_objectives(run_cli,
-                                                                   seed):
+@pytest.mark.parametrize("damage, refusal", [
+    *[(lambda h, v=v: h.update(sampler_seed=v), "line 1")
+      for v in ("x", 1.5, -1, None, 7)],
+    # 24.0 == 24 and 0.0 == 0 in Python, but neither runs as the int
+    (lambda h: h["objective"].update(n_candidates=24.0), "setup"),
+    (lambda h: h["objective"]["seeds"].update(sampler=0.0), "setup"),
+], ids=["sampler-seed-x", "sampler-seed-1.5", "sampler-seed-minus-1",
+        "sampler-seed-null", "sampler-seed-7", "float-n_candidates",
+        "float-objective-sampler-seed"])
+def test_optimize_refuses_a_damaged_header(run_cli, damage, refusal):
     # the header's sampler_seed copies the objective's seeds.sampler; a
     # copy that differs would draw the resumed trials from another seed
     args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
@@ -701,33 +708,13 @@ def test_optimize_refuses_a_header_sampler_seed_not_its_objectives(run_cli,
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
     assert head["sampler_seed"] == head["objective"]["seeds"]["sampler"] == 0
-    head["sampler_seed"] = seed
+    damage(head)
     lines[0] = json.dumps(head)
     path.write_text("\n".join(lines) + "\n")
     code, _, err, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
     assert code == 2, err
-    assert f"corrupt study file {path}, line 1" in err
-
-
-@pytest.mark.parametrize("key, value", [
-    ("n_candidates", 24.0), ("sampler", 0.0),
-], ids=["float-n_candidates", "float-sampler-seed"])
-def test_optimize_refuses_a_header_objective_of_another_type(run_cli, key,
-                                                              value):
-    # 24.0 == 24 and 0.0 == 0 in Python, but neither runs as the int
-    args = ["optimize", "optimize.n_startup=2", "optimize.budget=2"] + FAST_SS
-    code, _, _, outdir = run_cli(args)
-    assert code == 0
-    path = outdir / "study.jsonl"
-    lines = path.read_text().splitlines()
-    head = json.loads(lines[0])
-    objective = head["objective"]
-    (objective["seeds"] if key == "sampler" else objective)[key] = value
-    lines[0] = json.dumps(head)
-    path.write_text("\n".join(lines) + "\n")
-    code, _, err, _ = run_cli(args[:2] + ["optimize.budget=3"] + FAST_SS)
-    assert code == 2, err
-    assert "was run with a different setup" in err
+    assert {"line 1": f"corrupt study file {path}, line 1",
+            "setup": "was run with a different setup"}[refusal] in err
 
 
 @pytest.mark.parametrize("where", ["config", "study", "vowels"])
