@@ -1,11 +1,10 @@
-"""Optoelectronic delay-based reservoir computing: map dynamics, FIR
-delayed feedback, time-multiplexed reservoir simulation, ridge readouts,
-benchmarks and hyperparameter search."""
+"""Optoelectronic delay-based reservoir computing: map dynamics,
+time-multiplexed reservoir simulation with delayed feedback, ridge
+readouts, benchmarks and hyperparameter search."""
 
 __version__ = "0.1.0"
 
 from ._backend import active_backend
-from .delayline import FirConfig, delay_time, fir_apply, make_pure_delay
 from .dynamics import (FixedPoint, OscillatorParams, Regime,
                        bifurcation_sweep, classify_regime, cobweb,
                        fixed_points_of_iterate, integrate_dde, iterate,

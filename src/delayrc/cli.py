@@ -110,22 +110,22 @@ _SCHEMA = {
     "readout.bias": (_bool, _TEMPLATE["add_bias"]),
     "optimize.budget": (int, 300),
     "optimize.sampler": (str, "tpe"),
-    "optimize.n_startup": (int, 20),
-    "optimize.gamma": (float, 0.25),
-    "optimize.n_candidates": (int, 24),
+    "optimize.n_startup": (int, hyperopt.N_STARTUP),
+    "optimize.gamma": (float, hyperopt.GAMMA),
+    "optimize.n_candidates": (int, hyperopt.N_CANDIDATES),
     "optimize.width": (_width, 1),
     "optimize.record_timings": (_bool, False),
     **{f"space.{name}": (_floats, getattr(hyperopt.SearchSpace, name))
        for name in _PARAM_KEYS},
     "sweep.grid": (_floats, None),
-    "sweep.repeats": (int, 5),
+    "sweep.repeats": (int, hyperopt.REPEATS),
     "dynamics.G": (float, 0.56),
     # the other map fields default as OscillatorParams does
     **{f"dynamics.{f}": (float, getattr(dynamics.OscillatorParams, f))
        for f in _OSC_FIELDS[1:]},
     "dynamics.x0": (float, 0.1),
     "dynamics.n": (int, 100),
-    "dynamics.N_max": (int, 8),
+    "dynamics.N_max": (int, dynamics.N_MAX),
     "dynamics.axis": (str, "G"),
     "dynamics.lo": (float, 0.1),
     "dynamics.hi": (float, 1.6),

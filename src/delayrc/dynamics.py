@@ -479,6 +479,7 @@ class BifurcationRow:
 
 
 _SWEEP_AXES = ("G", "P_max", "x_b")
+N_MAX = 8   # the period orders a bifurcation sweep searches by default
 
 
 def _with_axis(p, axis, v):
@@ -490,7 +491,7 @@ def _with_axis(p, axis, v):
 
 
 def bifurcation_sweep(axis: str, axis_range, steps: int, p: OscillatorParams,
-                      N_max: int = 8, transient: int = 10_000,
+                      N_max: int = N_MAX, transient: int = 10_000,
                       orbit_samples: int = 128) -> list[BifurcationRow]:
     """Orbit-diagram data: per axis value, period points up to N_max (at
     most 16) plus the asymptotic orbit tail after a long transient. The

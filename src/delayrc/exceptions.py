@@ -16,16 +16,7 @@ class ConfigurationError(DelayRCError, ValueError):
 
 
 class DataFormatError(DelayRCError, ValueError):
-    """Malformed input data file.
-
-    Carries the offending 1-based line number when known.
-    """
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed input data file; the message names the file."""
 
 
 class NumericsError(DelayRCError, ArithmeticError):

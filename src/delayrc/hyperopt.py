@@ -39,6 +39,12 @@ _LOW_OPEN = ("G", "tau_over_T")   # lower bound excluded
 # a study's cost grows as its budget squared: each suggestion reads all trials
 MAX_BUDGET = 10_000
 MAX_REPEATS = 1_000   # data seeds of a sweep
+REPEATS = 5           # data seeds of a sweep by default
+# TPE defaults: the first N_STARTUP trials draw uniformly; each later one
+# splits the history at the GAMMA loss quantile and scores N_CANDIDATES draws
+N_STARTUP = 20
+GAMMA = 0.25
+N_CANDIDATES = 24
 # a suggestion's density temporaries hold (trials in the good or bad set)
 # x n_candidates doubles: the bad set of a MAX_BUDGET study at the default
 # gamma takes 60 MB at this bound (80 MB as gamma nears 0)
@@ -162,8 +168,9 @@ def _check_tpe_options(n_startup, gamma, n_candidates):
         raise ConfigurationError(f"gamma must be in (0, 1], got {gamma!r}")
 
 
-def tpe_suggest(study: Study, gamma: float = 0.25, n_candidates: int = 24,
-                rng=None, n_startup: int = 20) -> dict:
+def tpe_suggest(study: Study, gamma: float = GAMMA,
+                n_candidates: int = N_CANDIDATES, rng=None,
+                n_startup: int = N_STARTUP) -> dict:
     """Parzen-density suggestion in the space of study: split its past
     trials at the gamma loss quantile, model each parameter with Gaussian
     kernel densities over the good and bad sets, and return the candidate
@@ -248,8 +255,9 @@ def _search(study: Study, objective, budget: int,
 def run_study(task: str, template: dict | None = None,
               space: SearchSpace | None = None, budget: int = 1,
               seeds: dict | None = None, path=None,
-              sampler: str = "tpe", n_startup: int = 20, gamma: float = 0.25,
-              n_candidates: int = 24, record_timing: bool = False,
+              sampler: str = "tpe", n_startup: int = N_STARTUP,
+              gamma: float = GAMMA, n_candidates: int = N_CANDIDATES,
+              record_timing: bool = False,
               task_options: dict | None = None, on_open=None) -> Study:
     """Optimize the five tunables on a benchmark and persist the study.
 
@@ -398,7 +406,7 @@ def _lockstep_groups(data, data_seeds, k):
 
 
 def resonance_sweep(task: str, base_params: dict, tau_over_T_grid,
-                    repeats: int = 5, template: dict | None = None,
+                    repeats: int = REPEATS, template: dict | None = None,
                     seeds: dict | None = None,
                     task_options: dict | None = None) -> list[SweepRow]:
     """NMSE versus delay-to-clock ratio with all other tunables held fixed.

@@ -187,20 +187,21 @@ def _parse_blocks(path):
         line = raw.strip()
         if not line:
             if frames:
-                sequences.append((np.array(frames), lineno))
+                sequences.append(np.array(frames))
                 frames = []
             continue
         cols = line.split()
         if len(cols) != N_VOWEL_CHANNELS:
             raise DataFormatError(
-                f"expected {N_VOWEL_CHANNELS} columns, got {len(cols)}",
-                line=lineno)
+                f"{path}: line {lineno}: expected {N_VOWEL_CHANNELS} "
+                f"columns, got {len(cols)}")
         try:
             frames.append([float(c) for c in cols])
         except ValueError:
-            raise DataFormatError("non-numeric value", line=lineno) from None
+            raise DataFormatError(
+                f"{path}: line {lineno}: non-numeric value") from None
     if frames:
-        sequences.append((np.array(frames), lineno))
+        sequences.append(np.array(frames))
     return sequences
 
 
@@ -212,7 +213,7 @@ def _assign_labels(sequences, counts, split, path):
     out, idx = [], 0
     for label, count in enumerate(counts):
         for _ in range(count):
-            out.append(SequenceSample(frames=sequences[idx][0], label=label,
+            out.append(SequenceSample(frames=sequences[idx], label=label,
                                       split=split))
             idx += 1
     return out
@@ -223,9 +224,9 @@ def load_japanese_vowels(path) -> list[SequenceSample]:
 
     path is a directory holding ae.train and ae.test. Speaker labels come
     from the documented per-speaker block counts; a counts.json sidecar
-    ({"train": [...], "test": [...]}, lists of non-negative ints, either
-    key optional) overrides them. Channels are standardized to zero mean,
-    unit variance using training statistics.
+    ({"train": [...], "test": [...]}, lists of N_VOWEL_SPEAKERS
+    non-negative ints, either key optional) overrides them. Channels are
+    standardized to zero mean, unit variance using training statistics.
     """
     train_file = os.path.join(path, "ae.train")
     test_file = os.path.join(path, "ae.test")
@@ -240,12 +241,14 @@ def load_japanese_vowels(path) -> list[SequenceSample]:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{sidecar} is not JSON: {exc}") from None
         ok = isinstance(man, dict) and all(
-            isinstance(v, list) and all(type(c) is int and c >= 0 for c in v)
-            for v in (man.get("train", []), man.get("test", [])))
+            isinstance(v, list) and len(v) == N_VOWEL_SPEAKERS
+            and all(type(c) is int and c >= 0 for c in v)
+            for k, v in man.items() if k in ("train", "test"))
         if not ok:
             raise DataFormatError(
                 f"{sidecar} must hold an object whose train and test "
-                f"entries are lists of non-negative ints")
+                f"entries are lists of {N_VOWEL_SPEAKERS} non-negative ints, "
+                f"one per speaker")
         tr_counts = tuple(man.get("train", tr_counts))
         te_counts = tuple(man.get("test", te_counts))
     samples = _assign_labels(_parse_blocks(train_file), tr_counts, "train",

@@ -1,6 +1,8 @@
 """End-to-end command driver: artifacts, determinism, exit codes."""
 
 import fcntl
+import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -366,6 +368,26 @@ def test_schema_defaults_give_the_task_defaults(task):
 def test_schema_defaults_are_the_function_defaults(key, fn, name):
     default = inspect.signature(fn).parameters[name].default
     assert cli._SCHEMA[key][1] == default
+
+
+def test_benchmark_calls_echo_the_recorded_config(tmp_path):
+    # every default a benchmark call leaves unset lands in its
+    # effective.cfg, whose digest perfbench recorded
+    root = Path(SRC).parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  root / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    expected = json.loads((root / "expected.json").read_text())
+    for name, workload in run.WORKLOADS.items():
+        cmd, *overrides = workload["argv"]
+        if cmd == "dynamics":
+            cmd = f"dynamics.{overrides.pop(0)}"
+        cfg = cli._resolve(cmd, None, [*overrides, "out=out"])
+        path = tmp_path / f"{name}.cfg"
+        cli._write_cfg(cfg, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == expected[name]["effective.cfg"], name
 
 
 def test_state_overflow_exits_3_alike_on_every_strategy(run_cli):

@@ -187,7 +187,7 @@ def test_load_vowels_bad_column_count(tmp_path):
     (tmp_path / "ae.train").write_text("0.1 0.2 0.3\n")
     with pytest.raises(DataFormatError) as exc:
         load_japanese_vowels(tmp_path)
-    assert "line 1" in str(exc.value)
+    assert str(exc.value).startswith(f"{tmp_path / 'ae.train'}: line 1: ")
     assert "12" in str(exc.value)
 
 
@@ -197,7 +197,7 @@ def test_load_vowels_non_numeric(tmp_path):
     (tmp_path / "ae.test").write_text(bad)
     with pytest.raises(DataFormatError) as exc:
         load_japanese_vowels(tmp_path)
-    assert "line 1" in str(exc.value)
+    assert str(exc.value) == f"{tmp_path / 'ae.test'}: line 1: non-numeric value"
 
 
 def test_load_vowels_count_mismatch(tmp_path):
@@ -216,7 +216,10 @@ def test_load_vowels_count_mismatch(tmp_path):
     '{"train": 5}',
     '{"test": [0, 2, -1, 1, 0, 0, 0, 0, 0]}',
     '{"test": [0, 1, 1.0, 0, 0, 0, 0, 0, 0]}',
-], ids=["not-json", "list", "int-counts", "negative-count", "float-count"])
+    '{"train": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0]}',
+    '{"test": [0, 1, 1, 0, 0, 0, 0, 0]}',
+], ids=["not-json", "list", "int-counts", "negative-count", "float-count",
+        "ten-speakers", "eight-speakers"])
 def test_load_vowels_refuses_a_malformed_counts_sidecar(tmp_path, text):
     _write_tiny_dataset(tmp_path)
     (tmp_path / "counts.json").write_text(text)
