@@ -20,5 +20,5 @@ def f(a,
     return (a
             + b)
 '''
-    # def f(a, / b): / return (a / + b)
+    # the two lines of f's signature and the two of its return statement
     assert loc.code_lines(source) == 4
